@@ -6,11 +6,16 @@ difference-engine path a node runs on every poll, and one decentralized
 control round.
 """
 
+from time import perf_counter
+
 import pytest
 
 from repro.core.config import CoronaConfig
 from repro.diffengine.differ import diff_lines
-from repro.diffengine.extractor import extract_core_lines
+from repro.diffengine.extractor import (
+    CoreContentExtractor,
+    extract_core_lines,
+)
 from repro.feeds.generator import FeedGenerator
 from repro.honeycomb.clusters import (
     ChannelFactors,
@@ -24,6 +29,10 @@ from repro.overlay.hashing import channel_id
 from repro.overlay.network import OverlayNetwork
 from repro.simulation.macro import MacroSimulator
 from repro.workload.trace import generate_trace
+from tests.oracles.extractor import CoreContentExtractor as OracleExtractor
+
+#: The fused extractor must beat the token-based oracle by this much.
+MIN_EXTRACTOR_SPEEDUP = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +79,47 @@ def test_micro_poll_path(benchmark):
 
     delta = benchmark(poll_path)
     assert not delta.is_empty
+
+
+def _feed_documents(feeds: int = 8, fetches: int = 6) -> list[str]:
+    """Polled copies of generated feeds: updates plus fetch-time noise."""
+    documents = []
+    for rank in range(feeds):
+        generator = FeedGenerator(url=f"http://x{rank}.example/rss", seed=rank)
+        for fetch in range(fetches):
+            if fetch % 2:
+                generator.publish_update(60.0 * fetch)
+            documents.append(generator.render(60.0 * fetch + 7.0))
+    return documents
+
+
+def _min_seconds(core_lines, documents, rounds: int = 5) -> float:
+    """Best-of-``rounds`` wall clock to extract every document."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = perf_counter()
+        for document in documents:
+            core_lines(document)
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def test_micro_extractor_vs_oracle():
+    """The single-pass extractor against the token-based oracle it
+    replaced: identical lines, and at least 3x faster (min-of-N)."""
+    documents = _feed_documents()
+    fused = CoreContentExtractor()
+    oracle = OracleExtractor()
+    for document in documents:
+        assert fused.core_lines(document) == oracle.core_lines(document)
+    fused_seconds = _min_seconds(fused.core_lines, documents)
+    oracle_seconds = _min_seconds(oracle.core_lines, documents)
+    speedup = oracle_seconds / fused_seconds
+    assert speedup >= MIN_EXTRACTOR_SPEEDUP, (
+        f"fused extractor only {speedup:.1f}x faster than the oracle "
+        f"(floor {MIN_EXTRACTOR_SPEEDUP:.0f}x): "
+        f"{fused_seconds:.4f}s vs {oracle_seconds:.4f}s"
+    )
 
 
 def _populate_summaries(cls, count: int = 17) -> list:

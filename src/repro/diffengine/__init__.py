@@ -5,13 +5,15 @@ Corona must decide whether a freshly polled copy of a channel carries
 pages embed clocks, hit counters, rotating advertisements and session
 tokens that change on every fetch.  The difference engine therefore
 
-1. tokenizes the HTML/XML tolerantly (:mod:`repro.diffengine.tokenizer`),
-2. isolates the *core content*, dropping volatile elements such as
-   timestamps, counters and ads (:mod:`repro.diffengine.extractor`),
-3. diffs the old and new core content line-wise with a Myers O(ND)
+1. isolates the *core content* in one tolerant pass over the HTML/XML,
+   dropping volatile elements such as timestamps, counters and ads as
+   it scans (:mod:`repro.diffengine.extractor`; it splits markup
+   exactly as the token-level :mod:`repro.diffengine.tokenizer` the
+   feed parsers use),
+2. diffs the old and new core content line-wise with a Myers O(ND)
    algorithm, producing POSIX-``diff``-style hunks
    (:mod:`repro.diffengine.differ`), and
-4. delta-encodes updates for dissemination and applies/composes them
+3. delta-encodes updates for dissemination and applies/composes them
    at receivers (:mod:`repro.diffengine.delta`).
 
 The Cornell measurement study the paper cites found the average

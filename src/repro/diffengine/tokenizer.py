@@ -49,7 +49,8 @@ _ATTR = re.compile(
 )
 
 
-def _parse_attrs(source: str) -> tuple[tuple[str, str], ...]:
+def parse_attrs(source: str) -> tuple[tuple[str, str], ...]:
+    """``(lowercased name, unquoted value)`` pairs, in source order."""
     attrs = []
     for match in _ATTR.finditer(source):
         name = match.group(1).lower()
@@ -58,6 +59,32 @@ def _parse_attrs(source: str) -> tuple[tuple[str, str], ...]:
             raw = raw[1:-1]
         attrs.append((name, raw))
     return tuple(attrs)
+
+
+def parse_tag(raw: str) -> tuple[TokenKind, str, str] | None:
+    """Classify one ``<...>`` slice as ``(kind, name, attribute source)``.
+
+    The attribute source is the text after the tag name, left unparsed
+    (empty for closing tags) so callers that drop the tag skip
+    :func:`parse_attrs`.  Returns ``None`` when there is no tag name
+    after the ``<`` (optionally ``/``): such a slice is text.
+    """
+    inner = raw[1:-1].strip()
+    closing = inner.startswith("/")
+    selfclosing = inner.endswith("/") and not closing
+    body = inner.strip("/").strip()
+    name_match = _TAG_NAME.match(body)
+    if name_match is None:
+        return None
+    kind = (
+        TokenKind.CLOSE
+        if closing
+        else TokenKind.SELFCLOSE
+        if selfclosing
+        else TokenKind.OPEN
+    )
+    source = "" if closing else body[name_match.end() :]
+    return kind, name_match.group(0).lower(), source
 
 
 def tokenize(document: str) -> list[Token]:
@@ -95,25 +122,13 @@ def tokenize(document: str) -> list[Token]:
             tokens.append(Token(TokenKind.TEXT, document[lt:]))
             break
         raw = document[lt : end + 1]
-        inner = raw[1:-1].strip()
-        closing = inner.startswith("/")
-        selfclosing = inner.endswith("/") and not closing
-        body = inner.strip("/").strip()
-        name_match = _TAG_NAME.match(body)
-        if name_match is None:
+        tag = parse_tag(raw)
+        if tag is None:
             tokens.append(Token(TokenKind.TEXT, raw))
-            position = end + 1
-            continue
-        name = name_match.group(0).lower()
-        attrs = _parse_attrs(body[name_match.end() :]) if not closing else ()
-        kind = (
-            TokenKind.CLOSE
-            if closing
-            else TokenKind.SELFCLOSE
-            if selfclosing
-            else TokenKind.OPEN
-        )
-        tokens.append(Token(kind, raw, name=name, attrs=attrs))
+        else:
+            kind, name, source = tag
+            attrs = parse_attrs(source)
+            tokens.append(Token(kind, raw, name=name, attrs=attrs))
         position = end + 1
     return tokens
 

@@ -93,9 +93,16 @@ class TestConfiguration:
         assert "weather" in lines
 
     def test_explicit_ad_ids_filtered(self):
-        for marker in ("ad-slot", "ads", "banner_top", "sponsor-box"):
-            lines = extract_core_lines(
-                f'<div id="{marker}">junk</div><p>keep</p>'
-            )
+        for marker in (
+            'id="ad-slot"',
+            'id="ads"',
+            'id="banner_top"',
+            'id="sponsor-box"',
+            # Space-separated class lists: "ad" as one class among many.
+            'class="sidebar ad"',
+            'class="ad box"',
+            'class="ads top"',
+        ):
+            lines = extract_core_lines(f"<div {marker}>junk</div><p>keep</p>")
             assert "junk" not in lines, marker
             assert "keep" in lines

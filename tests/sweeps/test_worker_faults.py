@@ -73,14 +73,16 @@ class TestParallelFailures:
         assert on_disk == merged
 
     def test_timeout_kills_worker_and_consumes_attempts(self):
-        # n4096 takes several seconds per attempt; a 1.5s budget is
-        # comfortably exceeded, so both attempts end in a kill.
+        # n4096 takes about 0.9s per attempt on a 2-CPU x86 host (its
+        # overlay build alone is several tenths of a second); a 0.2s
+        # budget is comfortably exceeded, so both attempts end in a
+        # kill.
         slow = SweepTask("churn-scale-sweep", "n4096", 0)
-        (result,) = run_tasks([slow], jobs=2, timeout=1.5, retries=1)
+        (result,) = run_tasks([slow], jobs=2, timeout=0.2, retries=1)
         assert result.status == "failed"
         assert result.attempts == 2
         assert result.payload is None
-        assert "timed out after 1.5s" in result.error
+        assert "timed out after 0.2s" in result.error
 
 
 class TestSerialFailures:
