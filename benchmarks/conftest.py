@@ -13,8 +13,10 @@ paper's evaluation (§5).  Scale is controlled by the
 
 Simulation results are cached per scheme for the whole benchmark
 session so comparison lines (legacy, Lite as baseline for Fair, …)
-do not recompute; each benchmark times its *own* scheme's full run
-once via ``benchmark.pedantic``.
+do not recompute.  A benchmark that owns a scheme times that scheme's
+full run once via ``benchmark.pedantic``; the figures that only read
+cached runs (Figures 5, 6, 9 and 10, Table 2) check shapes without
+the ``benchmark`` fixture, so they record no timing.
 
 Rendered series/tables are also written to ``benchmarks/results/`` so
 a run leaves the paper-comparable artifacts on disk.  Alongside the
@@ -210,6 +212,11 @@ def write_artifact(
 _TIMING_FIELDS = ("min", "max", "mean", "stddev", "median", "rounds")
 
 
+def _test_file_exists(session, fullname: str) -> bool:
+    """Whether the file part of a ``path::test`` id is still on disk."""
+    return (session.config.rootpath / fullname.split("::", 1)[0]).is_file()
+
+
 @pytest.hookimpl(trylast=True)
 def pytest_sessionfinish(session, exitstatus):  # noqa: ARG001
     """Dump per-benchmark timings as BENCH_timings_<scale>.json."""
@@ -241,13 +248,15 @@ def pytest_sessionfinish(session, exitstatus):  # noqa: ARG001
     path = RESULTS_DIR / f"BENCH_timings_{scale_name}.json"
     # Merge with any existing file so partial runs (pytest -k, a
     # single benchmark file) update their entries without clobbering
-    # the rest of the recorded session.
+    # the rest of the recorded session.  A record whose test file no
+    # longer exists is dropped: nothing can ever refresh it.
     merged: dict[str, dict[str, Any]] = {}
     if path.exists():
         try:
             merged = {
                 item["fullname"]: item
                 for item in json.loads(path.read_text())
+                if _test_file_exists(session, item["fullname"])
             }
         except (json.JSONDecodeError, KeyError, TypeError):
             merged = {}

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.honeycomb.problem import ChannelTradeoff, TradeoffProblem
-from repro.honeycomb.solver import HoneycombSolver
+from tests.oracles.solver import EagerHoneycombSolver, ObjectHoneycombSolver
 
 
 def paper_sized_problem(m=20_000, k=3, seed=3) -> TradeoffProblem:
@@ -40,24 +40,25 @@ def problem() -> TradeoffProblem:
 
 
 def test_solver_bracketing(benchmark, problem):
-    # memo off: the ablation times the bracketing kernel itself, not
+    # No memo: the ablation times the bracketing kernel itself, not
     # an LRU replay of the first iteration's solution.
-    solver = HoneycombSolver(validate=False, memo_solve=False)
+    solver = EagerHoneycombSolver(validate=False)
     solution = benchmark(lambda: solver.solve(problem))
     assert solution.feasible
 
 
 def test_solver_scan_baseline(benchmark, problem):
-    solver = HoneycombSolver(validate=False, memo_solve=False)
+    solver = ObjectHoneycombSolver(validate=False)
     solution = benchmark(lambda: solver.solve_scan(problem))
     assert solution.feasible
 
 
 def test_strategies_agree(benchmark, problem):
-    solver = HoneycombSolver(validate=False, memo_solve=False)
+    solver = EagerHoneycombSolver(validate=False)
+    scan = ObjectHoneycombSolver(validate=False)
 
     def both():
-        return solver.solve(problem), solver.solve_scan(problem)
+        return solver.solve(problem), scan.solve_scan(problem)
 
     fast, slow = benchmark.pedantic(both, rounds=1, iterations=1)
     assert abs(fast.objective - slow.objective) <= 1e-6 * slow.objective

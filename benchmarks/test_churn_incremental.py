@@ -3,7 +3,7 @@
 Replays the heavy-churn scenario's membership timeline (15 one-minute
 crash+join ticks followed by a 6-manager simultaneous failure) on a
 512-node cloud, once with incremental churn maintenance and once with
-the pre-incremental rebuild path (`incremental_churn=False`: full
+the pre-incremental rebuild oracle (``tests/oracles/system.py``: full
 aggregator reconstruction + anchor rescan per event, sampled overlay
 repair).  The ratio is the PR's headline claim — the rebuild path is
 quadratic-per-wave in population/channels, the incremental path
@@ -20,6 +20,7 @@ from benchmarks.conftest import write_artifact
 from repro.core.config import CoronaConfig
 from repro.core.system import CoronaSystem
 from repro.simulation.webserver import WebServerFarm
+from tests.oracles.system import RebuildChurnSystem
 
 N_NODES = 512
 N_CHANNELS = 24
@@ -36,12 +37,9 @@ def build_system(incremental: bool) -> tuple[CoronaSystem, WebServerFarm]:
         scheme="lite",
     )
     farm = WebServerFarm(seed=1)
-    system = CoronaSystem(
-        n_nodes=N_NODES,
-        config=config,
-        fetcher=farm,
-        seed=0,
-        incremental_churn=incremental,
+    system_class = CoronaSystem if incremental else RebuildChurnSystem
+    system = system_class(
+        n_nodes=N_NODES, config=config, fetcher=farm, seed=0
     )
     client = 0
     for rank in range(N_CHANNELS):

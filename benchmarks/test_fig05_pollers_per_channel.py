@@ -13,10 +13,8 @@ from benchmarks.conftest import write_artifact
 from repro.analysis.tables import format_scatter_summary
 
 
-def test_fig05_pollers_per_channel(benchmark, runner, scale):
-    lite = benchmark.pedantic(
-        lambda: runner.run("lite"), rounds=1, iterations=1
-    )
+def test_fig05_pollers_per_channel(runner, scale):
+    lite = runner.run("lite")
     legacy = runner.run("legacy")
 
     ranks = np.arange(1, scale.n_channels + 1)

@@ -11,10 +11,8 @@ from benchmarks.conftest import write_artifact
 from repro.analysis.tables import format_scatter_summary
 
 
-def test_fig06_detection_per_channel(benchmark, runner, scale):
-    lite = benchmark.pedantic(
-        lambda: runner.run("lite"), rounds=1, iterations=1
-    )
+def test_fig06_detection_per_channel(runner, scale):
+    lite = runner.run("lite")
 
     tau = 1800.0
     lite_latency = tau / 2.0 / np.maximum(1, lite.final_pollers)

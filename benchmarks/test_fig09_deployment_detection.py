@@ -13,10 +13,8 @@ from repro.analysis.stats import steady_state_mean
 from repro.analysis.tables import format_series
 
 
-def test_fig09_deployment_detection(benchmark, deployment_run, scale):
-    result = benchmark.pedantic(
-        lambda: deployment_run, rounds=1, iterations=1
-    )
+def test_fig09_deployment_detection(deployment_run, scale):
+    result = deployment_run
 
     times = (np.arange(len(result.detection_times)) + 0.5) * scale.bucket_width
     artifact = format_series(

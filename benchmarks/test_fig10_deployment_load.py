@@ -13,10 +13,8 @@ from repro.analysis.stats import steady_state_mean
 from repro.analysis.tables import format_series
 
 
-def test_fig10_deployment_load(benchmark, deployment_run, scale):
-    result = benchmark.pedantic(
-        lambda: deployment_run, rounds=1, iterations=1
-    )
+def test_fig10_deployment_load(deployment_run, scale):
+    result = deployment_run
 
     artifact = format_series(
         result.bucket_times,

@@ -17,19 +17,16 @@ from repro.diffengine.extractor import (
     extract_core_lines,
 )
 from repro.feeds.generator import FeedGenerator
-from repro.honeycomb.clusters import (
-    ChannelFactors,
-    ClusterSummary,
-    ObjectClusterSummary,
-)
+from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.honeycomb.problem import ChannelTradeoff, TradeoffProblem
-from repro.honeycomb.solver import HoneycombSolver, ObjectHoneycombSolver
 from repro.overlay.dag import dissemination_tree
 from repro.overlay.hashing import channel_id
 from repro.overlay.network import OverlayNetwork
 from repro.simulation.macro import MacroSimulator
 from repro.workload.trace import generate_trace
+from tests.oracles.clusters import ObjectClusterSummary
 from tests.oracles.extractor import CoreContentExtractor as OracleExtractor
+from tests.oracles.solver import EagerHoneycombSolver, ObjectHoneycombSolver
 
 #: The fused extractor must beat the token-based oracle by this much.
 MIN_EXTRACTOR_SPEEDUP = 3.0
@@ -37,7 +34,7 @@ MIN_EXTRACTOR_SPEEDUP = 3.0
 
 @pytest.fixture(scope="module")
 def overlay():
-    return OverlayNetwork.build(256, base=16, seed=3)
+    return OverlayNetwork.build(256, base=16)
 
 
 def test_micro_route(benchmark, overlay):
@@ -229,9 +226,9 @@ def _solve_batch(solver, problems) -> float:
 
 
 def test_micro_solver_flat(benchmark):
-    """The vectorized solve kernel (memo off: times the kernel)."""
+    """The vectorized solve kernel (no memo: times the kernel)."""
     problems = _solver_problems()
-    solver = HoneycombSolver(validate=False, memo_solve=False)
+    solver = EagerHoneycombSolver(validate=False)
     cost = benchmark(lambda: _solve_batch(solver, problems))
     assert cost > 0
 
@@ -246,7 +243,7 @@ def test_micro_solver_objects(benchmark):
 
 def test_micro_solver_pair_bit_identical():
     """The pair being compared must compute identical solutions."""
-    flat = HoneycombSolver(validate=False, memo_solve=False)
+    flat = EagerHoneycombSolver(validate=False)
     objects = ObjectHoneycombSolver(validate=False)
     for problem in _solver_problems():
         left = flat.solve(problem)

@@ -1,10 +1,10 @@
 """Steady-state aggregation rounds: delta-driven vs the eager sweep.
 
-The eager reference reloads every node's local summary and recomputes
-every radius for every node each round — O(N · rows · base) summary
-merges forever, even when nothing changed.  Delta rounds
-(``delta_rounds=True``, the default) stamp summaries with value-change
-epochs and rebuild only what moved, so a converged steady-state round
+The eager oracle (``tests/oracles/aggregation.py``) reloads every
+node's local summary and recomputes every radius for every node each
+round — O(N · rows · base) summary merges forever, even when nothing
+changed.  Delta rounds stamp summaries with value-change epochs and
+rebuild only what moved, so a converged steady-state round
 does no summary work at all.  This bench replays the aggregation
 phase exactly as :meth:`CoronaSystem.run_aggregation_phase` drives it
 (dirty-local load + two rounds) on a converged 1024-node population
@@ -22,6 +22,7 @@ from benchmarks.conftest import write_artifact
 from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.clusters import ChannelFactors
 from repro.overlay.network import OverlayNetwork
+from tests.oracles.aggregation import EagerAggregator
 
 N_NODES = 1024
 PROBE_NODES = 4096
@@ -51,11 +52,10 @@ def synthetic_channels(node_id):
 
 def build_converged(n_nodes: int, delta: bool) -> DecentralizedAggregator:
     overlay = OverlayNetwork.build(
-        n_nodes, base=16, leaf_size=4, seed=5, address_prefix="delta"
+        n_nodes, base=16, leaf_size=4, address_prefix="delta"
     )
-    aggregator = DecentralizedAggregator.for_overlay(
-        overlay, bins=16, delta_rounds=delta
-    )
+    aggregator_class = DecentralizedAggregator if delta else EagerAggregator
+    aggregator = aggregator_class.for_overlay(overlay, bins=16)
     aggregator.load_local(synthetic_channels)
     aggregator.run_to_convergence()
     return aggregator
@@ -159,11 +159,9 @@ def test_churn_wave_reconverges_incrementally(benchmark):
     below one eager round.
     """
     overlay = OverlayNetwork.build(
-        N_NODES, base=16, leaf_size=4, seed=7, address_prefix="wave"
+        N_NODES, base=16, leaf_size=4, address_prefix="wave"
     )
-    aggregator = DecentralizedAggregator.for_overlay(
-        overlay, bins=16, delta_rounds=True
-    )
+    aggregator = DecentralizedAggregator.for_overlay(overlay, bins=16)
     aggregator.load_local(synthetic_channels)
     aggregator.run_to_convergence()
     state = {"minted": 0}

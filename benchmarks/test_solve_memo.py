@@ -1,15 +1,16 @@
 """Steady-state optimization phase: memoized solving vs eager re-solve.
 
-The eager reference rebuilds and re-solves every manager's Honeycomb
-instance every maintenance round — O(managers) hull constructions,
-move sorts and bracket searches forever, even when nothing changed.
-With ``memo_solve`` (the default) the phase is delta-driven: a manager
+The eager oracle (``tests/oracles/node.py``) rebuilds and re-solves
+every manager's Honeycomb instance every maintenance round —
+O(managers) hull constructions, move sorts and bracket searches
+forever, even when nothing changed.  The product phase is
+delta-driven: a manager
 whose remote summary and own contribution did not move skips its solve
 behind one fingerprint comparison, managers whose combined instances
 collide share one solution per round, and the solver's input-hash memo
 absorbs revisited instances — so a converged cloud's phase
-short-circuits to O(managers) hash checks, mirroring what
-``delta_rounds`` did for the aggregation phase.
+short-circuits to O(managers) hash checks, mirroring what delta
+rounds did for the aggregation phase.
 
 This bench replays the optimization phase exactly as
 :meth:`MacroSimulator._run_control_round` drives it on a converged
@@ -23,11 +24,14 @@ trajectory is tracked across PRs.
 
 import time
 
+import pytest
+
 from benchmarks.conftest import write_artifact
 
 from repro.core.config import CoronaConfig
 from repro.simulation.macro import MacroSimulator
 from repro.workload.trace import generate_trace
+from tests.oracles.node import EagerCoronaNode
 
 N_NODES = 1024
 PROBE_NODES = 4096
@@ -39,16 +43,23 @@ MIN_SPEEDUP = 5.0
 
 
 def build_converged(n_nodes: int, memo: bool) -> MacroSimulator:
+    """A converged simulator; ``memo=False`` builds eager-oracle nodes.
+
+    The simulator builds its manager nodes internally, so the eager
+    side swaps :class:`EagerCoronaNode` in through the module-level
+    name while it is constructed.
+    """
     trace = generate_trace(
         n_channels=N_CHANNELS, n_subscriptions=N_SUBSCRIPTIONS, seed=5
     )
-    simulator = MacroSimulator(
-        trace,
-        CoronaConfig(scheme="lite"),
-        n_nodes=n_nodes,
-        seed=7,
-        memo_solve=memo,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if not memo:
+            patch.setattr(
+                "repro.simulation.macro.CoronaNode", EagerCoronaNode
+            )
+        simulator = MacroSimulator(
+            trace, CoronaConfig(scheme="lite"), n_nodes=n_nodes, seed=7
+        )
     # Let aggregation horizons widen and levels walk to their targets;
     # afterwards rounds are steady state (nothing moves).
     for _ in range(10):
@@ -58,7 +69,7 @@ def build_converged(n_nodes: int, memo: bool) -> MacroSimulator:
 
 def optimization_phase(simulator: MacroSimulator) -> None:
     """The phase exactly as ``_run_control_round`` executes it."""
-    solve_cache: dict | None = {} if simulator.memo_solve else None
+    solve_cache: dict = {}
     for node_id, node in simulator.nodes.items():
         remote = simulator.aggregator.states[node_id].best_remote()
         node.run_optimization(
@@ -79,6 +90,9 @@ def test_steady_state_solve_speedup_1024(benchmark):
     """Memoized optimization must beat eager re-solve ≥5x once converged."""
     eager = build_converged(N_NODES, memo=False)
     memo = build_converged(N_NODES, memo=True)
+    assert all(
+        type(node) is EagerCoronaNode for node in eager.nodes.values()
+    )
     # Same computation, bit for bit: identical desired levels on every
     # manager and identical realized channel levels.
     assert (memo.levels == eager.levels).all()

@@ -32,11 +32,8 @@ def steady_polls_per_channel(result, n_channels, tau=1800.0):
     return per_min * (tau / 60.0) / n_channels
 
 
-def test_table2_summary(benchmark, runner, scale):
-    def run_all():
-        return {scheme: runner.run(scheme) for scheme in SCHEMES}
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_table2_summary(runner, scale):
+    results = {scheme: runner.run(scheme) for scheme in SCHEMES}
     legacy = runner.run("legacy")
 
     rows = [

@@ -108,7 +108,6 @@ class CoronaNode:
         *,
         rng_seed: int = 0,
         notifier: Callable[[str, Iterable[str], Diff, float], None] | None = None,
-        memo_solve: bool = True,
         solver_work: SolverWork | None = None,
         on_factors_changed: Callable[[NodeId], None] | None = None,
     ) -> None:
@@ -128,14 +127,7 @@ class CoronaNode:
         self.latest_hash: dict[str, int] = {}
         self.controller = LevelController()
         self.extractor = CoreContentExtractor()
-        #: False restores the eager optimization phase: every
-        #: ``run_optimization`` call rebuilds and re-solves its
-        #: instance even when nothing moved (the solve-memo
-        #: benchmark's reference; outputs are bit-identical).
-        self.memo_solve = memo_solve
-        self.solver = HoneycombSolver(
-            validate=False, memo_solve=memo_solve, work=solver_work
-        )
+        self.solver = HoneycombSolver(validate=False, work=solver_work)
         #: Structural dirty notification: called with this node's id
         #: whenever a managed channel's factor attribute is assigned
         #: (the system routes it to ``aggregator.mark_local_dirty``).
@@ -265,7 +257,7 @@ class CoronaNode:
         fine-grained knowledge where it is actually useful.  Returns
         the desired level per managed URL.
 
-        With ``memo_solve`` the phase is delta-driven at two grains:
+        The phase is delta-driven at two grains:
         if neither the remote summary's value nor this node's own
         contribution (channel identities, factors, orphan structure)
         moved since the last call, the whole phase short-circuits to
@@ -280,15 +272,14 @@ class CoronaNode:
         from repro.core.objectives import binning_ratio
         from repro.honeycomb.clusters import ratio_bin
 
-        if self.memo_solve:
-            fingerprint = (
-                n_nodes,
-                remote.fingerprint(),
-                self._own_contribution_fingerprint(),
-            )
-            if fingerprint == self._opt_fingerprint:
-                self.solver.work.memo_hits += 1
-                return dict(self._opt_desired)
+        fingerprint = (
+            n_nodes,
+            remote.fingerprint(),
+            self._own_contribution_fingerprint(),
+        )
+        if fingerprint == self._opt_fingerprint:
+            self.solver.work.memo_hits += 1
+            return dict(self._opt_desired)
 
         local = [
             channel
@@ -328,13 +319,12 @@ class CoronaNode:
             if cluster.count > 0
         ]
         if not entries:
-            if self.memo_solve:
-                self._opt_fingerprint = fingerprint
-                self._opt_desired = dict(desired)
+            self._opt_fingerprint = fingerprint
+            self._opt_desired = dict(desired)
             return desired
         solution = None
         problem_key = None
-        if self.memo_solve and solve_cache is not None:
+        if solve_cache is not None:
             # The shared per-cloud cache: the combined instance is a
             # pure function of these values (scheme and config are
             # cloud-wide constants), so a colliding manager's solution
@@ -372,9 +362,8 @@ class CoronaNode:
                 want = self._nearest_allowed(channel, want)
                 self.controller.set_target(channel.url, want)
                 desired[channel.url] = want
-        if self.memo_solve:
-            self._opt_fingerprint = fingerprint
-            self._opt_desired = dict(desired)
+        self._opt_fingerprint = fingerprint
+        self._opt_desired = dict(desired)
         return desired
 
     def _own_contribution_fingerprint(self) -> tuple:

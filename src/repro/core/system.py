@@ -9,6 +9,14 @@ Time is explicit: callers invoke :meth:`poll_due` and
 :meth:`run_maintenance_round` with monotonically increasing ``now``
 values (the discrete-event simulator does this with fine granularity;
 the examples use coarse steps).
+
+Every protocol phase has one execution path: membership changes are
+spliced into the overlay index and the aggregator incrementally,
+aggregation rounds are delta-driven, and the optimization phase skips
+unchanged instances.  The slower paths these replaced (a full rebuild
+per membership event, eager sweeps, re-solving every manager every
+round) live on as test oracles under ``tests/oracles/``, which the
+equivalence suites hold bit-identical to this facade.
 """
 
 from __future__ import annotations
@@ -108,9 +116,6 @@ class CoronaSystem:
         fetcher: Fetcher,
         seed: int = 0,
         notifier: Callable[[str, Iterable[str], Diff, float], None] | None = None,
-        incremental_churn: bool = True,
-        delta_rounds: bool = True,
-        memo_solve: bool = True,
         faults: FaultPlane | None = None,
         obs: Observability | None = None,
     ) -> None:
@@ -149,47 +154,18 @@ class CoronaSystem:
         #: skipping it performs zero transmit draws, exactly like the
         #: full scan that found nothing.
         self._repair_dirty_urls: set[str] = set()
-        #: False restores the pre-incremental churn paths (full
-        #: aggregator rebuild + anchor rescan per membership event,
-        #: sampled overlay repair) — the benchmarks' rebuild reference.
-        self.incremental_churn = incremental_churn
-        #: False restores the eager aggregation sweep (every node
-        #: reloads its local summary and recomputes every radius every
-        #: round) — the round-delta benchmark's reference.  Metrics are
-        #: bit-identical between the modes; only the work performed
-        #: differs.
-        self.delta_rounds = delta_rounds
-        #: False restores the eager optimization phase (every manager
-        #: rebuilds and re-solves its instance every round) — the
-        #: solve-memo benchmark's reference.  As with ``delta_rounds``,
-        #: metrics are bit-identical; only the solver work differs
-        #: (see :attr:`solver_work`).
-        self.memo_solve = memo_solve
         #: Cloud-wide solver counters, shared by every node's solver.
         self.solver_work = SolverWork(self.obs.registry)
         self.overlay = OverlayNetwork.build(
-            n_nodes,
-            base=config.base,
-            leaf_size=config.replicas + 1,
-            seed=seed,
-            incremental=incremental_churn,
+            n_nodes, base=config.base, leaf_size=config.replicas + 1
         )
         self.nodes: dict[NodeId, CoronaNode] = {
-            node_id: CoronaNode(
-                node_id,
-                config,
-                rng_seed=seed,
-                notifier=notifier,
-                memo_solve=memo_solve,
-                solver_work=self.solver_work,
-                on_factors_changed=self._mark_owner_dirty,
-            )
+            node_id: self._make_node(node_id, seed, notifier)
             for node_id in self.overlay.node_ids()
         }
         self.aggregator = DecentralizedAggregator.for_overlay(
             self.overlay,
             bins=config.tradeoff_bins,
-            delta_rounds=delta_rounds,
             registry=self.obs.registry,
         )
         self.managers: dict[str, NodeId] = {}
@@ -211,6 +187,23 @@ class CoronaSystem:
         # SHA-512, so it is stable across processes) and advancing
         # across calls, so successive crash waves draw independently.
         self._churn_rng = random.Random(f"corona-churn-{seed}")
+
+    def _make_node(
+        self,
+        node_id: NodeId,
+        rng_seed: int,
+        notifier: Callable[[str, Iterable[str], Diff, float], None]
+        | None = None,
+    ) -> CoronaNode:
+        """A protocol node wired to the cloud's solver counters."""
+        return CoronaNode(
+            node_id,
+            self.config,
+            rng_seed=rng_seed,
+            notifier=notifier,
+            solver_work=self.solver_work,
+            on_factors_changed=self._mark_owner_dirty,
+        )
 
     def _mark_owner_dirty(self, node_id: NodeId) -> None:
         """Structural dirty hook: a node's channel factors moved.
@@ -295,64 +288,36 @@ class CoronaSystem:
     def _join_wave(self, addresses: list[str], now: float) -> list[NodeId]:
         """Join a wave of nodes with one aggregation repair.
 
-        The incremental path splices the newcomers into the aggregator
-        (survivors keep every summary of an unchanged prefix region)
-        and consults the anchor index to re-home exactly the channels
-        some newcomer now anchors; the rebuild path reconstructs the
-        aggregator and rescans every channel per join, as the system
-        did before incremental churn.
+        The newcomers are spliced into the aggregator (survivors keep
+        every summary of an unchanged prefix region), and the anchor
+        index re-homes exactly the channels some newcomer now anchors.
         """
         joined: list[NodeId] = []
         for address in addresses:
-            pastry_node = self.overlay.add_node(address)
-            node = CoronaNode(
-                pastry_node.node_id,
-                self.config,
-                rng_seed=len(self.nodes),
-                memo_solve=self.memo_solve,
-                solver_work=self.solver_work,
-                on_factors_changed=self._mark_owner_dirty,
-            )
-            self.nodes[pastry_node.node_id] = node
-            joined.append(pastry_node.node_id)
-            if not self.incremental_churn:
-                self._rebuild_aggregator()
-                self._rehome_after_join(
-                    [pastry_node.node_id], now, use_index=False
-                )
-        if self.incremental_churn:
-            self.aggregator.add_nodes(
-                joined, rows=self.overlay.aggregation_rows()
-            )
-            self._rehome_after_join(joined, now, use_index=True)
+            node_id = self.overlay.add_node(address).node_id
+            self.nodes[node_id] = self._make_node(node_id, len(self.nodes))
+            joined.append(node_id)
+        self.aggregator.add_nodes(joined, rows=self.overlay.aggregation_rows())
+        self._rehome_after_join(joined, now)
         self.counters.joins += len(joined)
         return joined
 
-    def _rehome_after_join(
-        self, joined: list[NodeId], now: float, use_index: bool
-    ) -> None:
+    def _rehome_after_join(self, joined: list[NodeId], now: float) -> None:
         """Move channels whose anchor became one of ``joined``.
 
-        With ``use_index`` the current manager's cached anchor key is
-        compared against each newcomer's — O(joined) per channel, no
-        population scan; otherwise every channel's anchor is recomputed
-        (the pre-incremental behaviour).
+        The current manager's cached anchor key is compared against
+        each newcomer's — O(joined) per channel, no population scan.
         """
         for url in list(self.managers):
             cid = self._cid(url)
-            if use_index:
-                best_key = self._anchor_index[url]
-                winner: NodeId | None = None
-                for node_id in joined:
-                    key = self._anchor_key(node_id, cid)
-                    if key > best_key:
-                        best_key, winner = key, node_id
-                if winner is None:
-                    continue
-            else:
-                winner = self.overlay.anchor_of(cid)
-                if winner not in joined or winner == self.managers[url]:
-                    continue
+            best_key = self._anchor_index[url]
+            winner: NodeId | None = None
+            for node_id in joined:
+                key = self._anchor_key(node_id, cid)
+                if key > best_key:
+                    best_key, winner = key, node_id
+            if winner is None:
+                continue
             self._transfer_channel(url, cid, winner, now)
             self.counters.rehomed_channels += 1
 
@@ -423,10 +388,6 @@ class CoronaSystem:
         for node_id in victims:
             if node_id not in self.nodes:
                 raise KeyError(f"unknown node {node_id!r}")
-        if not self.incremental_churn:
-            return sum(
-                self._fail_single_rebuild(node_id, now) for node_id in victims
-            )
         orphaned: list[tuple[str, set[str]]] = []
         for node_id in victims:
             dying = self.nodes[node_id]
@@ -471,44 +432,6 @@ class CoronaSystem:
         if self.faults is not None:
             # Re-homed digest source (see _transfer_channel).
             self._repair_dirty_urls.add(url)
-
-    def _fail_single_rebuild(self, node_id: NodeId, now: float) -> int:
-        """The pre-incremental failure path (rebuild reference)."""
-        dying = self.nodes[node_id]
-        state = dying.registry.export_state()
-        orphaned_urls = list(dying.managed)
-        self._crashed_pool.append(
-            (node_id, self.overlay.nodes[node_id].address)
-        )
-        self.overlay.remove_node(node_id)
-        del self.nodes[node_id]
-        # Aggregation state is rebuilt over the surviving population
-        # (the overlay's self-healing already repaired routing tables).
-        self._rebuild_aggregator()
-        rehomed = 0
-        for url in orphaned_urls:
-            self._adopt_orphan(url, state.get(url, set()), now)
-            rehomed += 1
-        self.counters.crashes += 1
-        self.counters.rehomed_channels += rehomed
-        return rehomed
-
-    def _rebuild_aggregator(self) -> None:
-        """Reconstruct aggregation state from scratch (rebuild path).
-
-        Materializes the routing tables into a plain dict, as the
-        pre-incremental system did on every membership event — kept as
-        the reference the churn benchmarks and equivalence tests
-        compare the incremental splice against.
-        """
-        self.aggregator = DecentralizedAggregator(
-            tables=dict(self.overlay.routing_tables()),
-            rows=self.overlay.aggregation_rows(),
-            bins=self.config.tradeoff_bins,
-            base=self.config.base,
-            delta_rounds=self.delta_rounds,
-            registry=self.obs.registry,
-        )
 
     def manager_nodes(self) -> set[NodeId]:
         """Nodes currently managing at least one channel."""
@@ -583,7 +506,7 @@ class CoronaSystem:
         victims = generator.sample(pool, count) if count else []
         if victims:
             # One wave ⇒ one overlay repair and one aggregation splice,
-            # however many victims (the rebuild path loops internally).
+            # however many victims.
             with self.obs.tracer.span(
                 "churn.crash", sim_time=now, category="churn"
             ) as span:
@@ -678,14 +601,12 @@ class CoronaSystem:
     def run_aggregation_phase(self) -> None:
         """Refresh local summaries and run the two aggregation hops.
 
-        With ``delta_rounds`` only the nodes whose channel factors
-        changed since the previous phase rebuild their local summary
-        (the facade marks them dirty on every factor-moving event), and
-        each round recomputes only the radii whose epoch triggers
-        fired; the eager mode reloads and recomputes everything.  Both
-        produce bit-identical summaries — two rounds per phase because
-        summaries ride the maintenance messages and again on their
-        responses (§3.3).
+        Only the nodes whose channel factors changed since the previous
+        phase rebuild their local summary (the facade marks them dirty
+        on every factor-moving event), and each round recomputes only
+        the radii whose epoch triggers fired.  Two rounds per phase
+        because summaries ride the maintenance messages and again on
+        their responses (§3.3).
         """
         self.aggregator.refresh_locals(
             lambda node_id: self.nodes[node_id].local_factors()
@@ -742,9 +663,8 @@ class CoronaSystem:
         track_faults = plane is not None
         flood_stats: dict[NodeId, list[int]] = {}
         # Round-scoped shared-solution cache: managers whose combined
-        # instances collide this round solve once (memo_solve only —
-        # the eager reference must re-solve per manager).
-        solve_cache: dict | None = {} if self.memo_solve else None
+        # instances collide this round solve once.
+        solve_cache: dict = {}
         with tracer.span(
             "optimize", sim_time=now, category="phase"
         ) as span:
@@ -756,24 +676,18 @@ class CoronaSystem:
                 node.run_optimization(
                     remote, n_nodes, solve_cache=solve_cache
                 )
-                if self.delta_rounds:
-                    # Level moves change the factors this node
-                    # aggregates; the next phase must rebuild its local
-                    # summary.  (The eager reference reloads everyone
-                    # wholesale, so the tracking would be dead weight on
-                    # the reference path.)
-                    levels_before = {
-                        url: channel.level
-                        for url, channel in node.managed.items()
-                    }
-                    msgs = node.run_maintenance(now)
-                    if any(
-                        channel.level != levels_before.get(url)
-                        for url, channel in node.managed.items()
-                    ):
-                        self.aggregator.mark_local_dirty(node_id)
-                else:
-                    msgs = node.run_maintenance(now)
+                # Level moves change the factors this node aggregates;
+                # the next phase must rebuild its local summary.
+                levels_before = {
+                    url: channel.level
+                    for url, channel in node.managed.items()
+                }
+                msgs = node.run_maintenance(now)
+                if any(
+                    channel.level != levels_before.get(url)
+                    for url, channel in node.managed.items()
+                ):
+                    self.aggregator.mark_local_dirty(node_id)
                 for msg in msgs:
                     attempted, reached = self._flood_maintenance(
                         node_id, msg, now

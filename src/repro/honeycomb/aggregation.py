@@ -28,28 +28,28 @@ away.
 Delta-driven rounds
 -------------------
 The recursion above makes each radius a pure function of the previous
-round's radius-``r+1`` summaries, so a converged system recomputes the
-same values forever.  The default ``delta_rounds`` mode therefore
-stamps every per-radius summary with the epoch (round clock) at which
-its *value* last changed, and a node rebuilds radius ``r`` only when
-its own radius-``r+1`` epoch or some row-``r`` contact's radius-``r+1``
-epoch advanced since the node last built ``r`` (or the radius is
-missing outright — after churn trimmed it).  Rebuilds read the
-previous round's values and are committed after the sweep (a double
-buffer), preserving the one-maintenance-interval staleness of
+round's radius-``r+1`` summaries, so a converged system would
+recompute the same values forever.  Rounds are therefore delta-driven:
+the aggregator stamps every per-radius summary with the epoch (round
+clock) at which its *value* last changed, and a node rebuilds radius
+``r`` only when its own radius-``r+1`` epoch or some row-``r``
+contact's radius-``r+1`` epoch advanced since the node last built
+``r`` (or the radius is missing outright — after churn trimmed it).
+Rebuilds read the previous round's values and are committed after the
+sweep (a double buffer), preserving the one-maintenance-interval staleness of
 piggy-backed aggregation data bit for bit: a skipped radius is exactly
 the value the eager recomputation would have produced, and dirt still
 propagates one prefix digit per round.  A fully converged round does
-no summary work at all.  ``delta_rounds=False`` retains the original
-recompute-everything sweep as the benchmark reference
-(``benchmarks/test_round_delta.py`` gates the speedup).
+no summary work at all.  The original recompute-everything sweep
+lives on as the test oracle ``tests/oracles/aggregation.py``
+(``benchmarks/test_round_delta.py`` gates the speedup against it).
 
-Both modes maintain the same :class:`AggregationWork` counters, which
-deliberately count *value changes* rather than raw recomputation —
-the two modes must report identical numbers on identical runs (the
-delta-round equivalence suite asserts this), which makes the counters
-a deterministic CI gate for "work the protocol caused" that is
-independent of how cleverly the round is executed.
+The :class:`AggregationWork` counters deliberately count *value
+changes* rather than raw recomputation, so the eager oracle reports
+the same numbers on identical runs (the delta-round equivalence suite
+asserts this).  That makes the counters a deterministic CI gate for
+"work the protocol caused" that is independent of how cleverly the
+round is executed.
 """
 
 from __future__ import annotations
@@ -71,15 +71,13 @@ class AggregationWork(CounterStruct):
     contact contributions folded into those changed builds;
     ``nodes_dirtied`` accumulates, per round (and per local-load pass),
     the number of nodes with at least one changed summary.  All three
-    are identical between ``delta_rounds`` and the eager reference on
-    the same run — they measure change flowing through the system, not
-    instructions executed — so scenario baselines can gate on them
-    exactly while wall-clock timings stay report-only.
+    measure change flowing through the system, not instructions
+    executed — an eager sweep over the same run counts the same
+    numbers — so scenario baselines can gate on them exactly while
+    wall-clock timings stay report-only.
 
-    Backed by ``repro.obs`` counter cells; the non-incremental churn
-    path rebuilds its aggregator (and with it this struct) per
-    membership event, and re-registration replaces the prior series to
-    keep that reset visible in the registry too.
+    Backed by ``repro.obs`` counter cells; constructing a new
+    aggregator re-registers the series, replacing the prior ones.
     """
 
     SERIES = (
@@ -167,9 +165,9 @@ class DecentralizedAggregator:
 
     ``local_channels`` supplies, per node, the factors of the channels
     that node currently owns; :meth:`load_local` rebuilds
-    radius-``rows`` summaries from it (all nodes, or just the ones
-    marked dirty via :meth:`mark_local_dirty` — see
-    :meth:`load_dirty_locals`) and :meth:`run_round` extends horizons
+    radius-``rows`` summaries from it for every node,
+    :meth:`refresh_locals` only for the nodes marked dirty via
+    :meth:`mark_local_dirty`, and :meth:`run_round` extends horizons
     one digit.
 
     Churn is handled **incrementally** (paper §3.3): a joining or
@@ -183,11 +181,10 @@ class DecentralizedAggregator:
     would compute within ``rows`` rounds (the churn-equivalence test
     suite asserts this bit for bit).  ``tables`` should be a live view
     (see :meth:`repro.overlay.network.OverlayNetwork.routing_tables`)
-    so membership changes never require re-materializing it; with
-    ``delta_rounds`` the tables must only change through
-    :meth:`add_nodes`/:meth:`remove_nodes` events (the epoch stamps
-    learn about contact changes from the horizon trimming those
-    perform).
+    so membership changes never require re-materializing it.  The
+    tables must only change through :meth:`add_nodes`/
+    :meth:`remove_nodes` events: the epoch stamps learn about contact
+    changes from the horizon trimming those perform.
     """
 
     def __init__(
@@ -196,7 +193,6 @@ class DecentralizedAggregator:
         rows: int,
         bins: int = 16,
         base: int | None = None,
-        delta_rounds: bool = True,
         registry=None,
     ) -> None:
         self.tables = tables
@@ -207,7 +203,6 @@ class DecentralizedAggregator:
                 (table.base for table in tables.values()), 16
             )
         self.base = base
-        self.delta_rounds = delta_rounds
         self.states: dict[NodeId, AggregationState] = {
             node_id: AggregationState(node_id=node_id, rows=rows, bins=bins)
             for node_id in tables
@@ -231,7 +226,6 @@ class DecentralizedAggregator:
         cls,
         overlay,
         bins: int = 16,
-        delta_rounds: bool = True,
         registry=None,
     ) -> "DecentralizedAggregator":
         """Build over an overlay's live routing-table view."""
@@ -240,7 +234,6 @@ class DecentralizedAggregator:
             rows=overlay.aggregation_rows(),
             bins=bins,
             base=overlay.base,
-            delta_rounds=delta_rounds,
             registry=registry,
         )
 
@@ -368,7 +361,7 @@ class DecentralizedAggregator:
         The drivers call this on every event that can move a factor a
         local summary is built from — subscribe/unsubscribe, channel
         re-homes, detected updates (interval/size estimators), level
-        steps — so :meth:`load_dirty_locals` touches only those nodes.
+        steps — so :meth:`refresh_locals` touches only those nodes.
         """
         if node_id in self.states:
             self._dirty_local.add(node_id)
@@ -384,9 +377,8 @@ class DecentralizedAggregator:
         ``(factors, is_orphan, binning_ratio)`` tuples for the channels
         the node owns; the optional ratio is the scheme-specific f/g
         metric channels are clustered by.  A rebuilt summary equal in
-        value to the stored one is discarded (no epoch advance), which
-        is what lets delta rounds quiesce even though the eager driver
-        reloads every node every round.
+        value to the stored one is discarded (no epoch advance), so a
+        reload of unchanged factors leaves the rounds quiescent.
         """
         if node_ids is None:
             targets = list(self.states)
@@ -406,27 +398,17 @@ class DecentralizedAggregator:
                 dirtied += 1
         self.work.nodes_dirtied += dirtied
 
-    def load_dirty_locals(
+    def refresh_locals(
         self, local_channels: Callable[[NodeId], list]
     ) -> None:
-        """Rebuild locals only for nodes marked dirty since last load."""
+        """Rebuild locals only for nodes marked dirty since last load.
+
+        The one entry point every driver calls before its rounds.
+        """
         if not self._dirty_local:
             return
         order = sorted(self._dirty_local, key=lambda node_id: node_id.value)
         self.load_local(local_channels, node_ids=order)
-
-    def refresh_locals(
-        self, local_channels: Callable[[NodeId], list]
-    ) -> None:
-        """Reload local summaries the way the active round mode needs.
-
-        One dispatch point for every driver: delta rounds touch only
-        the dirty set, the eager reference reloads the population.
-        """
-        if self.delta_rounds:
-            self.load_dirty_locals(local_channels)
-        else:
-            self.load_local(local_channels)
 
     def _install_local(
         self, state: AggregationState, summary: ClusterSummary
@@ -452,76 +434,13 @@ class DecentralizedAggregator:
         its row-``r`` contacts.  We compute one new radius per round
         from the *previous* round's state, which models the one
         maintenance-interval staleness of piggy-backed aggregation
-        data.  ``delta_rounds`` skips every radius whose inputs did not
-        change since the node last built it (see module docstring); the
-        eager sweep recomputes everything.
-        """
-        if self.delta_rounds:
-            self._run_round_delta()
-        else:
-            self._run_round_eager()
+        data.
 
-    def _run_round_eager(self) -> None:
-        """The original recompute-everything sweep (reference path)."""
-        self._clock += 1
-        snapshot: dict[NodeId, dict[int, ClusterSummary]] = {
-            node_id: dict(state.summaries)
-            for node_id, state in self.states.items()
-        }
-        remote_snapshot: dict[NodeId, dict[int, ClusterSummary]] = {
-            node_id: dict(state.remote)
-            for node_id, state in self.states.items()
-        }
-        work = self.work
-        dirtied = 0
-        for node_id, state in self.states.items():
-            table = self.tables[node_id]
-            known = snapshot[node_id]
-            node_changed = False
-            for radius in range(self.rows - 1, -1, -1):
-                inner = known.get(radius + 1)
-                if inner is None:
-                    break  # cannot widen past a missing inner radius
-                inner_remote = remote_snapshot[node_id].get(
-                    radius + 1, ClusterSummary(bins=self.bins)
-                )
-                combined = inner.copy()
-                combined_remote = inner_remote.copy()
-                complete = True
-                merges = 0
-                for contact in table.row(radius).values():
-                    contribution = snapshot.get(contact, {}).get(radius + 1)
-                    if contribution is None:
-                        complete = False
-                        continue
-                    combined.merge(contribution)
-                    combined_remote.merge(contribution)
-                    merges += 1
-                if (
-                    state.summaries.get(radius) != combined
-                    or state.remote.get(radius) != combined_remote
-                ):
-                    work.summaries_rebuilt += 1
-                    work.cluster_merges += merges
-                    node_changed = True
-                state.summaries[radius] = combined
-                state.remote[radius] = combined_remote
-                if not complete:
-                    # Partial coverage still improves the estimate, but
-                    # do not build wider radii on incomplete data this
-                    # round; they would systematically undercount.
-                    break
-            if node_changed:
-                dirtied += 1
-        work.nodes_dirtied += dirtied
-
-    def _run_round_delta(self) -> None:
-        """Epoch-driven sweep: rebuild only radii whose inputs moved.
-
-        Walks every node's radii exactly like the eager sweep (same
-        break conditions, same contribution order, reading only
+        The sweep is epoch-driven (see module docstring): it walks
+        every node's radii like a recompute-everything sweep would
+        (same break conditions, same contribution order, reading only
         pre-round values) but rebuilds a radius only when its epoch
-        trigger fires; rebuilt pairs are committed after the sweep so
+        trigger fires.  Rebuilt pairs are committed after the sweep so
         within-round reads stay double-buffered.  A rebuild whose value
         did not change keeps the stored objects and advances no epoch,
         so change waves die out exactly as fast as the values converge.
@@ -565,7 +484,7 @@ class DecentralizedAggregator:
                             break
                 if not need:
                     if not state.complete.get(radius, True):
-                        break  # the eager sweep would stop here too
+                        break  # a full recompute would stop here too
                     continue
                 built_any = True
                 inner_remote = remote.get(radius + 1)

@@ -27,8 +27,8 @@ is an in-place array walk with no per-cluster object allocation and
 ``copy``/``replace_with`` are flat list copies.  The per-cluster
 object API survives as materialized :class:`TradeoffCluster` views
 (the ``clusters``/``slack`` properties) for the optimizer and the
-tests.  :class:`ObjectClusterSummary` retains the original
-dict-of-dataclasses representation as the reference the micro-kernel
+tests.  The original dict-of-dataclasses representation lives on as
+the test oracle ``tests/oracles/clusters.py``, which the micro-kernel
 benchmarks compare the flat arrays against.
 """
 
@@ -380,59 +380,3 @@ class ClusterSummary:
         strictly tighter — at most ``bins`` clusters total.)
         """
         return self.cluster_count()
-
-
-@dataclass
-class ObjectClusterSummary:
-    """The original dict-of-:class:`TradeoffCluster` representation.
-
-    Semantically identical to :class:`ClusterSummary`; retained as the
-    reference the micro-kernel benchmarks compare the flat-array
-    representation against (``benchmarks/test_micro_kernels.py``).
-    Nothing on the protocol paths uses it.
-    """
-
-    bins: int = 16
-    clusters: dict[int, TradeoffCluster] = field(default_factory=dict)
-    slack: TradeoffCluster = field(default_factory=TradeoffCluster)
-
-    def add_channel(
-        self,
-        factors: ChannelFactors,
-        orphan: bool = False,
-        ratio: float | None = None,
-    ) -> None:
-        """Fold one channel into the summary (slack if it is an orphan)."""
-        if orphan:
-            self.slack.add(factors)
-            return
-        key = ratio_bin(
-            default_ratio(factors) if ratio is None else ratio, self.bins
-        )
-        cluster = self.clusters.get(key)
-        if cluster is None:
-            cluster = TradeoffCluster()
-            self.clusters[key] = cluster
-        cluster.add(factors)
-
-    def merge(self, other: "ObjectClusterSummary") -> None:
-        """Fold another summary into this one, preserving the bin cap."""
-        if other.bins != self.bins:
-            raise ValueError("summaries must use the same bin count")
-        for key, cluster in other.clusters.items():
-            mine = self.clusters.get(key)
-            if mine is None:
-                self.clusters[key] = cluster.copy()
-            else:
-                mine.merge(cluster)
-        self.slack.merge(other.slack)
-
-    def copy(self) -> "ObjectClusterSummary":
-        """Deep-enough copy for exchange without aliasing."""
-        duplicate = ObjectClusterSummary(bins=self.bins)
-        duplicate.merge(self)
-        return duplicate
-
-    def total_channels(self) -> int:
-        """Channels summarized, excluding the slack cluster."""
-        return sum(cluster.count for cluster in self.clusters.values())

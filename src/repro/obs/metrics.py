@@ -24,10 +24,10 @@ Design constraints, enforced by ``tests/obs``:
   int arithmetic itself.  Label resolution (:meth:`Counter.labels`)
   is for registration-time fan-out, never for per-event paths.
 * **Re-registration** — registering a name that already exists
-  replaces the previous series.  The non-incremental churn reference
-  path rebuilds its aggregator (and therefore its work counters) per
-  membership event; the registry mirrors that reset semantics instead
-  of fighting it.
+  replaces the previous series.  A component rebuilt from scratch (the
+  rebuild-on-churn test oracle builds a new aggregator, and with it
+  new work counters, per membership event) resets its series rather
+  than fighting the registry.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ simulators layer timing on top; this class answers only *structural*
 questions (who owns key k, who is in this wedge, what route does a
 message take).
 
-Churn is **incremental** (default): the container maintains a sorted
+Churn is **incremental**: the container maintains a sorted
 identifier index, so a join touches only the newcomer's exact ring
 neighbours plus one empty-slot check per survivor, and a failure wave
 repairs only the survivors that actually referenced a dead node —
@@ -21,14 +21,14 @@ re-sampling the whole population.  The end state is at least as
 complete as the announcement-based protocol it replaces: a routing
 slot is empty only when no live node with the required prefix exists,
 and every leaf set is the exact ring slice around its owner.  The
-pre-incremental paths (``incremental=False``) are retained as the
-rebuild reference the churn benchmarks compare against.
+announcement-based join and the sampled repair live on as the test
+oracle ``tests/oracles/overlay.py``, the rebuild reference the churn
+benchmarks compare against.  Neither path draws random numbers.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 
@@ -94,27 +94,11 @@ class OverlayNetwork:
         Digit base ``b`` of the identifier space (16 in the paper).
     leaf_size:
         Leaf-set half-width ``f``; also the owner-replication factor.
-    rng:
-        Source of randomness for the legacy join/repair paths, so
-        simulations are reproducible.  The incremental paths are
-        deterministic and draw nothing.
-    incremental:
-        When True (default) joins and failures use the index-based
-        incremental paths; False restores the announcement/sampled
-        repair behaviour (the churn benchmarks' rebuild reference).
     """
 
-    def __init__(
-        self,
-        base: int = 16,
-        leaf_size: int = 8,
-        rng: random.Random | None = None,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, base: int = 16, leaf_size: int = 8) -> None:
         self.base = base
         self.leaf_size = leaf_size
-        self.rng = rng or random.Random(0)
-        self.incremental = incremental
         self.nodes: dict[NodeId, PastryNode] = {}
         #: Sorted live identifier values — the membership index the
         #: incremental join/repair/ownership paths bisect into.
@@ -162,10 +146,7 @@ class OverlayNetwork:
             address=address,
             leaf_size=self.leaf_size,
         )
-        if self.incremental:
-            self._join_incremental(node)
-        else:
-            self._join(node)
+        self._join(node)
         self.nodes[node_id] = node
         self._index_insert(node_id)
         return node
@@ -185,7 +166,7 @@ class OverlayNetwork:
         ids.insert(position, value)
         self._by_value[value] = node_id
 
-    def _join_incremental(self, joining: PastryNode) -> None:
+    def _join(self, joining: PastryNode) -> None:
         """Index-based join: exact neighbour updates, bisected table fill.
 
         Reaches the same end state as the announcement-based join — the
@@ -290,44 +271,6 @@ class OverlayNetwork:
                 if index < right and ids[index] < lo + (1 << shift):
                     node.table.observe(self._by_value[ids[index]])
 
-    def _join(self, joining: PastryNode) -> None:
-        """Pastry join: learn state from the route toward our own id.
-
-        The joining node routes to its own identifier; every node on
-        the route contributes its routing state.  With the synchronous
-        container we additionally let the affected peers observe the
-        newcomer, which stands in for Pastry's join announcements.
-        (Legacy path, kept as the rebuild benchmarks' reference.)
-        """
-        if not self.nodes:
-            return
-        seed = self.rng.choice(list(self.nodes.values()))
-        route = self._trace_route(seed, joining.node_id)
-        teachers = set(route)
-        # The numerically closest node shares its leaf set — the join
-        # protocol's final step — which seeds the newcomer's leaves.
-        closest = route[-1]
-        teachers.update(self.nodes[closest].leaves.members())
-        for teacher_id in teachers:
-            teacher = self.nodes.get(teacher_id)
-            if teacher is None:
-                continue
-            joining.observe(teacher.node_id)
-            for contact in teacher.known_nodes():
-                if contact in self.nodes:
-                    joining.observe(contact)
-            teacher.observe(joining.node_id)
-        # Announce to everyone whose state the newcomer should appear
-        # in, and vice versa.  A real deployment reaches the same state
-        # through join announcements and background gossip; the
-        # synchronous container short-circuits it so routing tables are
-        # as complete as the population allows (a slot is empty only
-        # when no node with the required prefix exists) — the property
-        # both wedge floods and cluster aggregation rely on.
-        for other in self.nodes.values():
-            other.observe(joining.node_id)
-            joining.observe(other.node_id)
-
     def remove_node(self, node_id: NodeId) -> None:
         """Fail a node and run self-healing repair at its peers."""
         self.remove_nodes([node_id])
@@ -335,11 +278,11 @@ class OverlayNetwork:
     def remove_nodes(self, node_ids: Iterable[NodeId]) -> None:
         """Fail a whole wave of nodes with one repair pass.
 
-        The incremental path deletes the wave from the index, then
-        repairs only the survivors that actually referenced a dead
-        node: each lost routing slot is refilled by prefix-range
-        bisection and each thinned leaf set is rebuilt as the exact
-        ring slice.  One wave ⇒ one repair, however many nodes fail.
+        The wave is deleted from the index, then only the survivors
+        that actually referenced a dead node are repaired: each lost
+        routing slot is refilled by prefix-range bisection and each
+        thinned leaf set is rebuilt as the exact ring slice.  One wave
+        ⇒ one repair, however many nodes fail.
         """
         victims = list(node_ids)
         for node_id in victims:
@@ -347,15 +290,8 @@ class OverlayNetwork:
                 raise KeyError(f"unknown node {node_id!r}")
         if len(set(victims)) != len(victims):
             raise ValueError("duplicate node in removal wave")
-        if not self.incremental:
-            for node_id in victims:
-                self._drop_from_index(node_id)
-                for survivor in self.nodes.values():
-                    survivor.forget(node_id)
-                self._repair()
-            return
-        # Leaf sets are exact ring slices (invariant of the incremental
-        # paths), so only each victim's current ring neighbours can
+        # Leaf sets are exact ring slices (invariant of the join and
+        # repair paths), so only each victim's current ring neighbours can
         # hold it as a leaf — collect them before the index shrinks.
         leaf_holders: set[NodeId] = set()
         for node_id in victims:
@@ -443,22 +379,6 @@ class OverlayNetwork:
             self._by_value[ids[(position - 1 - k) % n]] for k in range(span)
         ]
         return clockwise, counter_clockwise
-
-    def _repair(self) -> None:
-        """Refill empty routing slots and thin leaf sets from live peers.
-
-        Mirrors Pastry's property that *any* node with the right prefix
-        can occupy a slot: each node re-observes a sample of the live
-        population.  Sampling keeps repair O(N·sample) instead of O(N²).
-        (Legacy path; the incremental repair refills slots exactly.)
-        """
-        population = list(self.nodes)
-        if not population:
-            return
-        sample_size = min(len(population), max(16, 4 * self.base))
-        for node in self.nodes.values():
-            for candidate in self.rng.sample(population, sample_size):
-                node.observe(candidate)
 
     # ------------------------------------------------------------------
     # routing
@@ -593,19 +513,7 @@ class OverlayNetwork:
         some pair of nodes shares ``r`` prefix digits, and the deepest
         such pair is always value-adjacent, so the answer is read off
         the maintained pair-depth histogram in O(1) per churn event.
-
-        The legacy mode keeps the original table scan: after sampled
-        repair a table may transiently miss its deepest entry, and the
-        rebuild reference must reproduce that pre-incremental answer
-        exactly.
         """
-        if not self.incremental:
-            deepest = 0
-            for node in self.nodes.values():
-                rows = node.table.occupied_rows()
-                if rows:
-                    deepest = max(deepest, rows[-1])
-            return deepest + 1
         deepest = max(
             (
                 depth
@@ -639,31 +547,11 @@ class OverlayNetwork:
         n_nodes: int,
         base: int = 16,
         leaf_size: int = 8,
-        seed: int = 0,
         address_prefix: str = "node",
-        incremental: bool = True,
     ) -> "OverlayNetwork":
         """Construct an overlay of ``n_nodes`` with synthetic addresses."""
-        network = cls(
-            base=base,
-            leaf_size=leaf_size,
-            rng=random.Random(seed),
-            incremental=incremental,
-        )
+        network = cls(base=base, leaf_size=leaf_size)
         for index in range(n_nodes):
             network.add_node(f"{address_prefix}-{index}")
         return network
 
-
-def build_overlay(
-    n_nodes: int, base: int = 16, leaf_size: int = 8, seed: int = 0
-) -> OverlayNetwork:
-    """Convenience wrapper mirroring :meth:`OverlayNetwork.build`."""
-    return OverlayNetwork.build(
-        n_nodes=n_nodes, base=base, leaf_size=leaf_size, seed=seed
-    )
-
-
-def addresses(n_nodes: int, prefix: str = "node") -> Iterable[str]:
-    """Synthetic node addresses used by tests and simulators."""
-    return (f"{prefix}-{index}" for index in range(n_nodes))

@@ -110,11 +110,13 @@ class ScenarioMetrics:
 
     * ``work_*`` — aggregation value-change counters (summaries whose
       committed value changed, contact contributions merged into
-      those builds, node-dirtied accumulations).  Identical between
-      delta and eager rounds, gated exactly by the CI baselines.
-    * ``solver_work_*`` — optimization-phase execution counters.
-      They legitimately differ between ``memo_solve`` and the eager
-      reference; the baselines gate ``problems_solved`` and the
+      those builds, node-dirtied accumulations).  They count change,
+      not recomputation, so the eager aggregation oracle in
+      ``tests/oracles/`` reports the same numbers; gated exactly by
+      the CI baselines.
+    * ``solver_work_*`` — optimization-phase execution counters
+      (solves run, and solves the memo and the shared-solution cache
+      avoided).  The baselines gate ``problems_solved`` and the
       memo+shared sum ``solver_work_solve_hits`` (which cache layer
       absorbs a given skipped solve can flip across processes).
     * fault counters — all zero on fault-free runs, deterministic
@@ -400,8 +402,6 @@ def _execute(
         config=config,
         fetcher=farm,
         seed=seed,
-        delta_rounds=spec.delta_rounds,
-        memo_solve=spec.memo_solve,
         faults=faults,
         obs=obs,
     )

@@ -81,8 +81,6 @@ class MacroSimulator:
         oracle_factors: bool = True,
         horizon: float = 6 * 3600.0,
         bucket_width: float = 600.0,
-        delta_rounds: bool = True,
-        memo_solve: bool = True,
         faults: FaultPlane | None = None,
         fault_injections: Iterable[
             tuple[float, Callable[[FaultPlane, float], None]]
@@ -96,12 +94,6 @@ class MacroSimulator:
         self.oracle_factors = oracle_factors
         self.horizon = horizon
         self.bucket_width = bucket_width
-        #: False restores the eager aggregation sweep (reload + full
-        #: recompute per round); results are bit-identical either way.
-        self.delta_rounds = delta_rounds
-        #: False restores the eager optimization phase (re-solve every
-        #: manager every round); results are bit-identical either way.
-        self.memo_solve = memo_solve
         self.obs = obs if obs is not None else Observability.off()
         #: Shared solver counters across all manager nodes.
         self.solver_work = SolverWork(self.obs.registry)
@@ -124,8 +116,7 @@ class MacroSimulator:
         # paper's 1024-node scale; an unlucky hash universe can double
         # the orphan count and visibly drag the weighted latency.
         self.overlay = OverlayNetwork.build(
-            n_nodes, base=config.base, leaf_size=4, seed=seed,
-            address_prefix="corona",
+            n_nodes, base=config.base, leaf_size=4, address_prefix="corona"
         )
         self.base_level = self.overlay.base_level()
         self._prepare_channels()
@@ -204,7 +195,6 @@ class MacroSimulator:
                     manager,
                     self.config,
                     rng_seed=self.seed,
-                    memo_solve=self.memo_solve,
                     solver_work=self.solver_work,
                     on_factors_changed=self._mark_owner_dirty,
                 )
@@ -228,7 +218,6 @@ class MacroSimulator:
         self.aggregator = DecentralizedAggregator.for_overlay(
             self.overlay,
             bins=self.config.tradeoff_bins,
-            delta_rounds=self.delta_rounds,
             registry=self.obs.registry,
         )
 
@@ -271,9 +260,8 @@ class MacroSimulator:
         what lets global knowledge converge within the couple of
         phases Figure 3 shows.
         """
-        # Delta rounds reload only managers whose levels moved last
-        # round (plus the initial everyone-dirty load); the eager
-        # reference reloads the population.
+        # Reload only managers whose levels moved last round (plus the
+        # initial everyone-dirty load).
         self.aggregator.refresh_locals(
             lambda node_id: (
                 self.nodes[node_id].local_factors()
@@ -283,8 +271,8 @@ class MacroSimulator:
         )
         self.aggregator.run_round()
         self.aggregator.run_round()
-        # Round-scoped shared-solution cache (memo_solve only).
-        solve_cache: dict | None = {} if self.memo_solve else None
+        # Round-scoped shared-solution cache.
+        solve_cache: dict = {}
         for node_id, node in self.nodes.items():
             remote = self.aggregator.states[node_id].best_remote()
             node.run_optimization(remote, self.n_nodes, solve_cache=solve_cache)

@@ -15,13 +15,13 @@ from repro.workload.trace import generate_trace
 def small_overlay() -> OverlayNetwork:
     """A 64-node base-4 overlay (base 4 keeps wedge levels meaningful
     at small N; the structure is identical to base 16 at scale)."""
-    return OverlayNetwork.build(64, base=4, seed=11)
+    return OverlayNetwork.build(64, base=4)
 
 
 @pytest.fixture(scope="session")
 def hexa_overlay() -> OverlayNetwork:
     """A 96-node base-16 overlay (the paper's base)."""
-    return OverlayNetwork.build(96, base=16, seed=13)
+    return OverlayNetwork.build(96, base=16)
 
 
 @pytest.fixture()

@@ -17,6 +17,7 @@ import pytest
 from repro.core.channel import ChannelStats
 from repro.core.system import CoronaSystem
 from repro.simulation.webserver import WebServerFarm
+from tests.oracles.aggregation import EagerAggregator
 
 
 @pytest.fixture()
@@ -176,20 +177,16 @@ class TestEveryPublicPath:
         assert manager in dirty(system)
 
     def test_delta_vs_eager_still_agree_through_raw_mutation(
-        self, fast_config
+        self, fast_config, monkeypatch
     ):
         """End to end: a raw factor poke plus rounds keeps the delta
-        aggregator bit-identical to the eager reference."""
+        aggregator bit-identical to the eager oracle."""
 
-        def build(delta):
+        def build():
             farm = WebServerFarm(seed=9)
             farm.host("http://raw.example/rss", update_interval=60.0)
             system = CoronaSystem(
-                n_nodes=16,
-                config=fast_config,
-                fetcher=farm,
-                seed=9,
-                delta_rounds=delta,
+                n_nodes=16, config=fast_config, fetcher=farm, seed=9
             )
             system.subscribe("http://raw.example/rss", "c", 0.0)
             system.run_maintenance_round(10.0)
@@ -198,7 +195,13 @@ class TestEveryPublicPath:
             system.run_maintenance_round(250.0)
             return system
 
-        delta_sys, eager_sys = build(True), build(False)
+        delta_sys = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.core.system.DecentralizedAggregator", EagerAggregator
+            )
+            eager_sys = build()
+        assert type(eager_sys.aggregator) is EagerAggregator
         assert delta_sys.aggregator.states == eager_sys.aggregator.states
         assert (
             delta_sys.aggregator.work.as_dict()

@@ -12,7 +12,7 @@ from repro.overlay.network import OverlayNetwork
 @pytest.fixture(scope="module")
 def populated():
     """A 48-node overlay with 300 channels assigned to their anchors."""
-    net = OverlayNetwork.build(48, base=4, seed=17)
+    net = OverlayNetwork.build(48, base=4)
     assignments: dict = {node_id: [] for node_id in net.node_ids()}
     total_q = 0.0
     for index in range(300):

@@ -22,6 +22,9 @@ from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.clusters import ChannelFactors
 from repro.overlay.network import OverlayNetwork
 from repro.simulation.webserver import WebServerFarm
+from tests.oracles.aggregation import EagerAggregator
+from tests.oracles.overlay import LegacyOverlayNetwork
+from tests.oracles.system import RebuildChurnSystem
 
 
 def synthetic_channels(node_id):
@@ -68,7 +71,7 @@ class TestAggregatorChurnEquivalence:
     def test_randomized_join_crash_sequences(self, seed):
         """Seeded random churn, checked against a rebuild at each step."""
         rng = random.Random(seed)
-        overlay = OverlayNetwork.build(24, base=4, leaf_size=3, seed=seed)
+        overlay = OverlayNetwork.build(24, base=4, leaf_size=3)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         minted = 0
         for step in range(12):
@@ -96,7 +99,7 @@ class TestAggregatorChurnEquivalence:
 
     def test_equivalence_holds_with_interleaved_rounds(self):
         """Running rounds *between* churn events must not break it."""
-        overlay = OverlayNetwork.build(20, base=4, leaf_size=3, seed=9)
+        overlay = OverlayNetwork.build(20, base=4, leaf_size=3)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         rng = random.Random(9)
         for index in range(6):
@@ -114,7 +117,7 @@ class TestHorizonTrimming:
     """Survivors keep summaries of untouched prefix regions only."""
 
     def test_removal_trims_only_the_changed_region(self):
-        overlay = OverlayNetwork.build(16, base=4, leaf_size=3, seed=3)
+        overlay = OverlayNetwork.build(16, base=4, leaf_size=3)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         states = converged_states(aggregator, synthetic_channels)
         victim = overlay.node_ids()[5]
@@ -141,7 +144,7 @@ class TestHorizonTrimming:
                     assert present
 
     def test_join_trims_only_the_changed_region(self):
-        overlay = OverlayNetwork.build(16, base=4, leaf_size=3, seed=4)
+        overlay = OverlayNetwork.build(16, base=4, leaf_size=3)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         converged_states(aggregator, synthetic_channels)
         rows_before = aggregator.rows
@@ -160,13 +163,13 @@ class TestHorizonTrimming:
                     assert present
 
     def test_add_existing_node_rejected(self):
-        overlay = OverlayNetwork.build(4, base=4, leaf_size=2, seed=0)
+        overlay = OverlayNetwork.build(4, base=4, leaf_size=2)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         with pytest.raises(ValueError):
             aggregator.add_nodes([overlay.node_ids()[0]])
 
     def test_remove_unknown_node_rejected(self):
-        overlay = OverlayNetwork.build(4, base=4, leaf_size=2, seed=0)
+        overlay = OverlayNetwork.build(4, base=4, leaf_size=2)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         ghost = overlay.add_node("ghost").node_id
         overlay.remove_nodes([ghost])
@@ -175,7 +178,7 @@ class TestHorizonTrimming:
             aggregator_fresh.remove_nodes([ghost])
 
     def test_set_rows_rekeys_local_summaries(self):
-        overlay = OverlayNetwork.build(8, base=4, leaf_size=2, seed=1)
+        overlay = OverlayNetwork.build(8, base=4, leaf_size=2)
         aggregator = DecentralizedAggregator.for_overlay(overlay, bins=8)
         aggregator.load_local(synthetic_channels)
         rows = aggregator.rows
@@ -224,11 +227,7 @@ class TestSystemChurnEquivalence:
         """The delta-round system aggregator is also rebuild-equivalent."""
         farm = WebServerFarm(seed=21)
         system = CoronaSystem(
-            n_nodes=24,
-            config=fast_config,
-            fetcher=farm,
-            seed=21,
-            delta_rounds=True,
+            n_nodes=24, config=fast_config, fetcher=farm, seed=21
         )
         for rank in range(5):
             url = f"http://deq{rank}.example/rss"
@@ -249,15 +248,12 @@ class TestSystemChurnEquivalence:
         assert_equivalent(system.aggregator, system.overlay, local_channels)
 
     def test_rebuild_mode_system_behaves(self, fast_config):
-        """The retained rebuild path still transfers state correctly."""
+        """The rebuild oracle still transfers state correctly."""
         farm = WebServerFarm(seed=2)
-        system = CoronaSystem(
-            n_nodes=24,
-            config=fast_config,
-            fetcher=farm,
-            seed=2,
-            incremental_churn=False,
+        system = RebuildChurnSystem(
+            n_nodes=24, config=fast_config, fetcher=farm, seed=2
         )
+        assert isinstance(system.overlay, LegacyOverlayNetwork)
         for rank in range(6):
             url = f"http://legacy{rank}.example/rss"
             farm.host(url, update_interval=120.0, target_bytes=500)
@@ -275,9 +271,10 @@ class TestSystemChurnEquivalence:
 
 
 class TestDeltaEagerSystemEquivalence:
-    """delta_rounds=True vs the eager reference: bit-identical metrics.
+    """Delta rounds vs the eager oracle: bit-identical metrics.
 
-    Two complete systems — one with delta rounds, one eager — are
+    Two complete systems — one with delta rounds, one built while the
+    module-level aggregator name points at :class:`EagerAggregator` — are
     driven through the same seeded interleaving of joins, crashes,
     flash-crowd subscription waves, unsubscribes, polls (real update
     detections moving the interval estimators) and maintenance rounds.
@@ -288,14 +285,10 @@ class TestDeltaEagerSystemEquivalence:
     up as the eager side counting a change the delta side skipped).
     """
 
-    def build(self, delta, seed, fast_config):
+    def build(self, seed, fast_config):
         farm = WebServerFarm(seed=seed)
         system = CoronaSystem(
-            n_nodes=32,
-            config=fast_config,
-            fetcher=farm,
-            seed=seed,
-            delta_rounds=delta,
+            n_nodes=32, config=fast_config, fetcher=farm, seed=seed
         )
         for rank in range(8):
             url = f"http://mix{rank}.example/rss"
@@ -337,9 +330,14 @@ class TestDeltaEagerSystemEquivalence:
         return system
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
-    def test_metrics_bit_identical(self, seed, fast_config):
-        delta_sys, delta_farm = self.build(True, seed, fast_config)
-        eager_sys, eager_farm = self.build(False, seed, fast_config)
+    def test_metrics_bit_identical(self, seed, fast_config, monkeypatch):
+        delta_sys, delta_farm = self.build(seed, fast_config)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.core.system.DecentralizedAggregator", EagerAggregator
+            )
+            eager_sys, eager_farm = self.build(seed, fast_config)
+        assert type(eager_sys.aggregator) is EagerAggregator
         self.drive(delta_sys, delta_farm, seed)
         self.drive(eager_sys, eager_farm, seed)
         assert delta_sys.counters == eager_sys.counters

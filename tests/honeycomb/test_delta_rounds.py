@@ -1,7 +1,8 @@
 """Delta-round property suite: epoch-skipped rounds == eager rounds.
 
-``delta_rounds`` replaces the recompute-everything aggregation sweep
-with epoch-stamped rebuilds of only the radii whose inputs changed.
+The product aggregator replaced the recompute-everything sweep (kept
+as the oracle :class:`tests.oracles.aggregation.EagerAggregator`) with
+epoch-stamped rebuilds of only the radii whose inputs changed.
 The paper's §3.3 one-interval-staleness semantics must survive **bit
 for bit**: after every single round — not just at convergence — the
 delta aggregator's states must equal what the eager reference computes
@@ -18,6 +19,7 @@ import pytest
 from repro.honeycomb.aggregation import DecentralizedAggregator
 from repro.honeycomb.clusters import ChannelFactors
 from repro.overlay.network import OverlayNetwork
+from tests.oracles.aggregation import EagerAggregator
 
 
 def factors_for(node_id, boost: int = 0):
@@ -45,23 +47,19 @@ class MirroredPair:
 
     def __init__(self, overlay, bins=8):
         self.overlay = overlay
-        self.delta = DecentralizedAggregator.for_overlay(
-            overlay, bins=bins, delta_rounds=True
-        )
-        self.eager = DecentralizedAggregator.for_overlay(
-            overlay, bins=bins, delta_rounds=False
-        )
+        self.delta = DecentralizedAggregator.for_overlay(overlay, bins=bins)
+        self.eager = EagerAggregator.for_overlay(overlay, bins=bins)
         self.boosts: dict = {}
 
     def local_channels(self, node_id):
         return factors_for(node_id, self.boosts.get(node_id, 0))
 
     def load(self):
-        # The system drives the delta aggregator through the dirty set
-        # and the eager one through a full reload; value-identical
-        # rebuilds advance no epoch either way.
-        self.delta.load_dirty_locals(self.local_channels)
-        self.eager.load_local(self.local_channels)
+        # The delta aggregator reloads the dirty set, the eager one
+        # the whole population; value-identical rebuilds advance no
+        # epoch either way.
+        self.delta.refresh_locals(self.local_channels)
+        self.eager.refresh_locals(self.local_channels)
 
     def bump_factors(self, node_id):
         self.boosts[node_id] = self.boosts.get(node_id, 0) + 1
@@ -95,7 +93,7 @@ class TestPerRoundEquivalence:
         """Any mix of churn, factor changes and rounds: equal states
         and equal work counters after *every* round."""
         rng = random.Random(seed)
-        overlay = OverlayNetwork.build(20, base=4, leaf_size=3, seed=seed)
+        overlay = OverlayNetwork.build(20, base=4, leaf_size=3)
         pair = MirroredPair(overlay)
         minted = 0
         for _step in range(40):
@@ -126,7 +124,7 @@ class TestPerRoundEquivalence:
     def test_steady_state_rounds_do_no_summary_work(self):
         """Once converged with stable factors, delta rounds are free
         and commit nothing — yet stay equal to the eager sweep."""
-        overlay = OverlayNetwork.build(32, base=4, leaf_size=3, seed=9)
+        overlay = OverlayNetwork.build(32, base=4, leaf_size=3)
         pair = MirroredPair(overlay)
         pair.load()
         for _ in range(pair.delta.rows + 2):
@@ -143,7 +141,7 @@ class TestPerRoundEquivalence:
         """A single dirty owner re-dirties exactly the §3.3 wave: its
         change reaches wider radii one digit per round, and the
         per-round dirtied counts match the eager reference."""
-        overlay = OverlayNetwork.build(24, base=4, leaf_size=3, seed=4)
+        overlay = OverlayNetwork.build(24, base=4, leaf_size=3)
         pair = MirroredPair(overlay)
         pair.load()
         for _ in range(pair.delta.rows + 2):
@@ -172,7 +170,7 @@ class TestPerRoundEquivalence:
 class TestDirtyLocalBookkeeping:
     def test_unmarked_equal_rebuild_advances_no_epoch(self):
         """Reloading identical factors dirties nothing in either mode."""
-        overlay = OverlayNetwork.build(12, base=4, leaf_size=2, seed=2)
+        overlay = OverlayNetwork.build(12, base=4, leaf_size=2)
         agg = DecentralizedAggregator.for_overlay(overlay, bins=8)
         agg.load_local(factors_for)
         rebuilt = agg.work.summaries_rebuilt
@@ -180,9 +178,9 @@ class TestDirtyLocalBookkeeping:
         assert agg.work.summaries_rebuilt == rebuilt
 
     def test_mark_local_dirty_scopes_the_reload(self):
-        overlay = OverlayNetwork.build(12, base=4, leaf_size=2, seed=3)
+        overlay = OverlayNetwork.build(12, base=4, leaf_size=2)
         agg = DecentralizedAggregator.for_overlay(overlay, bins=8)
-        agg.load_dirty_locals(factors_for)  # everyone starts dirty
+        agg.refresh_locals(factors_for)  # everyone starts dirty
         boost = {}
 
         def channels(node_id):
@@ -192,17 +190,17 @@ class TestDirtyLocalBookkeeping:
         boost[target] = 1
         agg.mark_local_dirty(target)
         rebuilt = agg.work.summaries_rebuilt
-        agg.load_dirty_locals(channels)
+        agg.refresh_locals(channels)
         assert agg.work.summaries_rebuilt == rebuilt + 1
         # The dirty set drained: a second pass rebuilds nothing.
-        agg.load_dirty_locals(channels)
+        agg.refresh_locals(channels)
         assert agg.work.summaries_rebuilt == rebuilt + 1
 
     def test_mark_unknown_node_is_ignored(self):
-        overlay = OverlayNetwork.build(6, base=4, leaf_size=2, seed=1)
+        overlay = OverlayNetwork.build(6, base=4, leaf_size=2)
         agg = DecentralizedAggregator.for_overlay(overlay, bins=8)
         ghost = overlay.add_node("ghost").node_id
         overlay.remove_nodes([ghost])
         agg.mark_local_dirty(ghost)  # never aggregated: no-op
-        agg.load_dirty_locals(factors_for)
+        agg.refresh_locals(factors_for)
         assert ghost not in agg.states

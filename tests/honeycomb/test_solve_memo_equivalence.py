@@ -1,17 +1,17 @@
 """Solve-memo property suite: memoized optimization == eager re-solve.
 
-``memo_solve`` makes the optimization phase delta-driven at three
-layers — a whole-phase fingerprint skip per manager, a round-scoped
-shared-solution cache across managers, and an input-hash memo inside
-the (vectorized) solver.  None of them may change a single bit of any
-output: the flat kernel must equal :class:`ObjectHoneycombSolver`
-exactly, a memo hit must replay exactly what a re-solve would compute,
-and a full system driven with ``memo_solve=True`` must produce the
-same channel levels, counters and aggregation states as the eager
-reference under any interleaving of steady state, heavy churn and
-flash crowds (mirroring ``test_delta_rounds.py``'s proof obligation
-for the aggregation phase).  Only the ``solver_work`` counters may
-differ — they report how the phase was executed.
+The optimization phase is delta-driven at three layers — a whole-phase
+fingerprint skip per manager, a round-scoped shared-solution cache
+across managers, and an input-hash memo inside the (vectorized)
+solver.  None of them may change a single bit of any output: the flat
+kernel must equal the object-graph oracle exactly, a memo hit must
+replay exactly what a re-solve would compute, and a full system must
+produce the same channel levels, counters and aggregation states as
+the eager oracle (:class:`tests.oracles.node.EagerCoronaNode`) under
+any interleaving of steady state, heavy churn and flash crowds
+(mirroring ``test_delta_rounds.py``'s proof obligation for the
+aggregation phase).  Only the ``solver_work`` counters may differ —
+they report how the phase was executed.
 """
 
 import random
@@ -23,14 +23,12 @@ from repro.core.node import CoronaNode
 from repro.core.system import CoronaSystem
 from repro.honeycomb.clusters import ChannelFactors, ClusterSummary
 from repro.honeycomb.problem import ChannelTradeoff, TradeoffProblem
-from repro.honeycomb.solver import (
-    HoneycombSolver,
-    ObjectHoneycombSolver,
-    SolverWork,
-)
+from repro.honeycomb.solver import HoneycombSolver, SolverWork
 from repro.overlay.hashing import channel_id
 from repro.scenarios.runner import ScenarioRunner
 from repro.simulation.webserver import WebServerFarm
+from tests.oracles.node import EagerCoronaNode
+from tests.oracles.solver import EagerHoneycombSolver, ObjectHoneycombSolver
 from tests.scenarios.conftest import tiny_spec
 
 
@@ -86,7 +84,7 @@ class TestFlatKernelBitIdentity:
     def test_randomized_problems_bit_identical(self, seed):
         rng = random.Random(seed)
         reference = ObjectHoneycombSolver()
-        flat = HoneycombSolver(memo_solve=False)
+        flat = EagerHoneycombSolver()
         for _ in range(60):
             m, k = rng.randint(0, 9), rng.randint(0, 5)
             channels = [
@@ -122,11 +120,11 @@ class TestFlatKernelBitIdentity:
         problem = TradeoffProblem(channels=[channel], target=50.0)
         assert_bracket_identical(
             ObjectHoneycombSolver().solve_bracketing(problem),
-            HoneycombSolver(memo_solve=False).solve_bracketing(problem),
+            EagerHoneycombSolver().solve_bracketing(problem),
         )
 
     def test_memo_hit_replays_the_exact_solution(self):
-        solver = HoneycombSolver(memo_solve=True)
+        solver = HoneycombSolver()
         problem = TradeoffProblem(
             channels=[corona_like_channel("x", 10.0, 2.0, weight=7)],
             target=300.0,
@@ -143,7 +141,7 @@ class TestFlatKernelBitIdentity:
         assert_bracket_identical(first, third)
 
     def test_memo_capacity_is_bounded(self):
-        solver = HoneycombSolver(memo_solve=True, memo_capacity=4)
+        solver = HoneycombSolver(memo_capacity=4)
         for index in range(10):
             problem = TradeoffProblem(
                 channels=[corona_like_channel(index, 1.0 + index, 2.0)],
@@ -153,8 +151,8 @@ class TestFlatKernelBitIdentity:
         assert len(solver._memo) == 4
         assert solver.work.problems_solved == 10
 
-    def test_memo_off_always_solves(self):
-        solver = HoneycombSolver(memo_solve=False)
+    def test_eager_oracle_always_solves(self):
+        solver = EagerHoneycombSolver()
         problem = TradeoffProblem(
             channels=[corona_like_channel("x", 10.0, 2.0)], target=300.0
         )
@@ -164,7 +162,8 @@ class TestFlatKernelBitIdentity:
         assert solver.work.memo_hits == 0
 
 
-def build_node(memo_solve, n_channels=5, work=None):
+def build_node(memo, n_channels=5, work=None):
+    """A Corona-Fair manager; ``memo=False`` builds the eager oracle."""
     # Corona-Fair: the update-interval estimator enters the curves, so
     # estimator movement must invalidate the memo (under Lite + polls
     # the curves ignore u_i and s_i, and an "unchanged problem" memo
@@ -173,11 +172,9 @@ def build_node(memo_solve, n_channels=5, work=None):
         polling_interval=60.0, maintenance_interval=120.0, base=4,
         scheme="fair",
     )
-    node = CoronaNode(
-        channel_id("node-under-test"),
-        config,
-        memo_solve=memo_solve,
-        solver_work=work,
+    node_class = CoronaNode if memo else EagerCoronaNode
+    node = node_class(
+        channel_id("node-under-test"), config, solver_work=work
     )
     for rank in range(n_channels):
         url = f"http://memo{rank}.example/rss"
@@ -208,7 +205,7 @@ class TestNodePhaseMemo:
     """The whole-phase fingerprint skip on ``run_optimization``."""
 
     def test_unchanged_inputs_skip_and_replay(self):
-        node = build_node(memo_solve=True)
+        node = build_node(memo=True)
         remote = remote_summary()
         first = node.run_optimization(remote, n_nodes=64)
         solved = node.solver.work.problems_solved
@@ -221,8 +218,8 @@ class TestNodePhaseMemo:
             assert node.controller.desired[url] == want
 
     def test_matches_eager_node_bit_for_bit(self):
-        memo = build_node(memo_solve=True)
-        eager = build_node(memo_solve=False)
+        memo = build_node(memo=True)
+        eager = build_node(memo=False)
         remote = remote_summary()
         for _ in range(4):
             assert memo.run_optimization(remote, 64) == (
@@ -259,7 +256,7 @@ class TestNodePhaseMemo:
         ids=["own-subscribers", "own-estimators", "remote-summary"],
     )
     def test_any_moved_input_invalidates(self, mutate):
-        node = build_node(memo_solve=True)
+        node = build_node(memo=True)
         remote = remote_summary()
         node.run_optimization(remote, 64)
         solved = node.solver.work.problems_solved
@@ -268,7 +265,7 @@ class TestNodePhaseMemo:
         assert node.solver.work.problems_solved == solved + 1
 
     def test_population_change_invalidates(self):
-        node = build_node(memo_solve=True)
+        node = build_node(memo=True)
         remote = remote_summary()
         node.run_optimization(remote, 64)
         solved = node.solver.work.problems_solved
@@ -278,8 +275,8 @@ class TestNodePhaseMemo:
     def test_shared_cache_collides_identical_managers(self):
         """Two managers with identical contributions share one solve."""
         work = SolverWork()
-        first = build_node(memo_solve=True, work=work)
-        second = build_node(memo_solve=True, work=work)
+        first = build_node(memo=True, work=work)
+        second = build_node(memo=True, work=work)
         remote = remote_summary()
         cache: dict = {}
         a = first.run_optimization(remote, 64, solve_cache=cache)
@@ -290,7 +287,7 @@ class TestNodePhaseMemo:
         assert work.shared_hits == 1
         # Cache entries never alias a consumer's solution: poisoning a
         # handed-out copy must not leak to later colliding managers.
-        third = build_node(memo_solve=True, work=work)
+        third = build_node(memo=True, work=work)
         entry = next(iter(cache.values()))
         handed_out = entry.copy()
         handed_out.levels.clear()
@@ -300,19 +297,18 @@ class TestNodePhaseMemo:
 
 
 class TestSystemEquivalence:
-    """memo_solve=True vs the eager reference on a full CoronaSystem,
+    """The memoized phase vs the eager oracle on a full CoronaSystem,
     driven through the same seeded interleaving of churn, crowds,
     polls and maintenance rounds (the shape of
-    test_churn_equivalence.TestDeltaEagerSystemEquivalence)."""
+    test_churn_equivalence.TestDeltaEagerSystemEquivalence).  The
+    system builds its nodes internally, so the eager side swaps in
+    :class:`EagerCoronaNode` through the module-level name for as long
+    as it is built and driven (joins build nodes too)."""
 
-    def build(self, memo, seed, fast_config):
+    def build(self, seed, fast_config):
         farm = WebServerFarm(seed=seed)
         system = CoronaSystem(
-            n_nodes=32,
-            config=fast_config,
-            fetcher=farm,
-            seed=seed,
-            memo_solve=memo,
+            n_nodes=32, config=fast_config, fetcher=farm, seed=seed
         )
         for rank in range(8):
             url = f"http://solve{rank}.example/rss"
@@ -353,11 +349,19 @@ class TestSystemEquivalence:
         return system
 
     @pytest.mark.parametrize("seed", [51, 52, 53])
-    def test_observables_bit_identical(self, seed, fast_config):
-        memo_sys, memo_farm = self.build(True, seed, fast_config)
-        eager_sys, eager_farm = self.build(False, seed, fast_config)
+    def test_observables_bit_identical(
+        self, seed, fast_config, monkeypatch
+    ):
+        memo_sys, memo_farm = self.build(seed, fast_config)
         self.drive(memo_sys, memo_farm, seed)
-        self.drive(eager_sys, eager_farm, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.core.system.CoronaNode", EagerCoronaNode)
+            eager_sys, eager_farm = self.build(seed, fast_config)
+            self.drive(eager_sys, eager_farm, seed)
+        assert all(
+            type(node) is EagerCoronaNode
+            for node in eager_sys.nodes.values()
+        )
         assert memo_sys.counters == eager_sys.counters
         assert memo_sys.aggregator.states == eager_sys.aggregator.states
         assert (
@@ -387,7 +391,7 @@ class TestSystemEquivalence:
     def test_converged_cloud_stops_solving(self, fast_config):
         """Steady state: once levels settle and aggregation quiesces,
         maintenance rounds solve nothing — O(managers) hash checks."""
-        system, farm = self.build(True, 77, fast_config)
+        system, farm = self.build(77, fast_config)
         client = 0
         for rank in range(8):
             url = f"http://solve{rank}.example/rss"
@@ -408,7 +412,7 @@ class TestSystemEquivalence:
 
 
 class TestScenarioEquivalence:
-    """Spec-level: memo_solve flips execution strategy only."""
+    """Scenario-level: the eager oracle changes execution only."""
 
     SOLVER_KEYS = (
         "solver_work_problems_solved",
@@ -417,11 +421,11 @@ class TestScenarioEquivalence:
         "solver_work_solve_hits",
     )
 
-    def test_metrics_identical_modulo_solver_work(self):
+    def test_metrics_identical_modulo_solver_work(self, monkeypatch):
         memo = ScenarioRunner(tiny_spec(), seed=5).run().to_dict()
-        eager = ScenarioRunner(
-            tiny_spec(memo_solve=False), seed=5
-        ).run().to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.core.system.CoronaNode", EagerCoronaNode)
+            eager = ScenarioRunner(tiny_spec(), seed=5).run().to_dict()
         strip = lambda payload: {
             key: value
             for key, value in payload.items()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.honeycomb.problem import ChannelTradeoff, TradeoffProblem
 from repro.honeycomb.solver import HoneycombSolver
+from tests.oracles.solver import ObjectHoneycombSolver
 
 
 def corona_like_channel(key, q, s, base=4, k=3):
@@ -83,9 +84,8 @@ class TestAgainstBruteForce:
             problem = TradeoffProblem(
                 channels=channels, target=rng.uniform(10, 400)
             )
-            solver = HoneycombSolver()
-            fast = solver.solve(problem)
-            slow = solver.solve_scan(problem)
+            fast = HoneycombSolver().solve(problem)
+            slow = ObjectHoneycombSolver().solve_scan(problem)
             assert abs(fast.objective - slow.objective) < 1e-9
             assert abs(fast.cost - slow.cost) < 1e-9
 

@@ -14,12 +14,13 @@ import pytest
 from repro.overlay.hashing import channel_id, node_id_for_address
 from repro.overlay.leafset import LeafSet
 from repro.overlay.network import OverlayNetwork
+from tests.oracles.overlay import LegacyOverlayNetwork
 
 
 def churned_overlay(seed=7, n=48, base=4):
     """An overlay that went through joins and batched crash waves."""
     rng = random.Random(seed)
-    net = OverlayNetwork.build(n, base=base, leaf_size=4, seed=seed)
+    net = OverlayNetwork.build(n, base=base, leaf_size=4)
     for wave in range(4):
         victims = rng.sample(net.node_ids(), rng.randint(1, 4))
         net.remove_nodes(victims)
@@ -96,7 +97,7 @@ class TestExactRepair:
                 assert entry in net.nodes
 
     def test_remove_nodes_validates_input(self):
-        net = OverlayNetwork.build(8, base=4, leaf_size=2, seed=0)
+        net = OverlayNetwork.build(8, base=4, leaf_size=2)
         ghost = node_id_for_address("ghost")
         with pytest.raises(KeyError):
             net.remove_nodes([ghost])
@@ -106,7 +107,7 @@ class TestExactRepair:
         assert len(net) == 8  # neither call removed anything
 
     def test_batch_wave_equals_population_change(self):
-        net = OverlayNetwork.build(20, base=4, leaf_size=3, seed=3)
+        net = OverlayNetwork.build(20, base=4, leaf_size=3)
         victims = net.node_ids()[:6]
         net.remove_nodes(victims)
         assert len(net) == 14
@@ -124,7 +125,7 @@ class TestExactRepair:
             assert net.aggregation_rows() == deepest + 1
 
     def test_single_survivor_and_regrowth(self):
-        net = OverlayNetwork.build(6, base=4, leaf_size=2, seed=4)
+        net = OverlayNetwork.build(6, base=4, leaf_size=2)
         survivors = net.node_ids()
         net.remove_nodes(survivors[1:])
         assert len(net) == 1
@@ -147,8 +148,8 @@ class TestJoinWorkScaling:
     """
 
     @staticmethod
-    def per_join(n, base=16, seed=23):
-        net = OverlayNetwork.build(n, base=base, leaf_size=4, seed=seed)
+    def per_join(n, base=16):
+        net = OverlayNetwork.build(n, base=base, leaf_size=4)
         stats = net.join_stats
         joins = stats["joins"]
         return {key: value / joins for key, value in stats.items()}, net
@@ -191,7 +192,7 @@ class TestJoinWorkScaling:
 
 class TestRoutingTablesView:
     def test_view_is_cached_and_live(self):
-        net = OverlayNetwork.build(10, base=4, leaf_size=2, seed=1)
+        net = OverlayNetwork.build(10, base=4, leaf_size=2)
         view = net.routing_tables()
         assert net.routing_tables() is view
         assert len(view) == 10
@@ -203,7 +204,7 @@ class TestRoutingTablesView:
         assert newcomer.node_id not in view
 
     def test_view_supports_mapping_protocol(self):
-        net = OverlayNetwork.build(6, base=4, leaf_size=2, seed=2)
+        net = OverlayNetwork.build(6, base=4, leaf_size=2)
         view = net.routing_tables()
         assert set(view) == set(net.node_ids())
         assert dict(view) == {
@@ -213,12 +214,10 @@ class TestRoutingTablesView:
 
 
 class TestLegacyPathsRetained:
-    """The pre-incremental join/repair remain available for reference."""
+    """The pre-incremental join/repair oracle still routes and repairs."""
 
     def test_legacy_overlay_still_routes_and_repairs(self):
-        net = OverlayNetwork.build(
-            24, base=4, leaf_size=3, seed=5, incremental=False
-        )
+        net = LegacyOverlayNetwork.build(24, base=4, leaf_size=3, seed=5)
         start = net.node_ids()[0]
         key = channel_id("http://legacy.example/rss")
         owner = net.owner_of(key)

@@ -18,6 +18,7 @@ from repro.scenarios import (
     UpdateBurst,
     WorkloadSpec,
 )
+from tests.oracles.aggregation import EagerAggregator
 from tests.scenarios.conftest import TINY_WORKLOAD, tiny_spec
 
 
@@ -396,11 +397,11 @@ class TestMetricsShape:
 
 
 class TestDeltaRoundsEquivalence:
-    """The spec's delta_rounds flag flips the execution strategy only:
-    a full scenario's --json metrics — work counters included — are
-    bit-identical between delta and the eager reference."""
+    """A full scenario's --json metrics — work counters included — are
+    bit-identical between delta rounds and the eager oracle, swapped
+    in through the name the system builds its aggregator from."""
 
-    def test_metrics_identical_across_modes(self):
+    def test_metrics_identical_across_modes(self, monkeypatch):
         events = (
             ChurnWave(
                 at=120.0,
@@ -417,9 +418,13 @@ class TestDeltaRoundsEquivalence:
         delta = ScenarioRunner(
             tiny_spec(events=events), seed=5
         ).run().to_dict()
-        eager = ScenarioRunner(
-            tiny_spec(events=events, delta_rounds=False), seed=5
-        ).run().to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.core.system.DecentralizedAggregator", EagerAggregator
+            )
+            eager = ScenarioRunner(
+                tiny_spec(events=events), seed=5
+            ).run().to_dict()
         assert delta == eager
 
     def test_work_counters_emitted_and_deterministic(self):

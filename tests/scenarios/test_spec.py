@@ -150,9 +150,19 @@ class TestDictRoundTrip:
         rebuilt = ScenarioSpec.from_dict(spec.to_dict())
         assert rebuilt == spec
 
-    def test_from_dict_unknown_top_level_key(self):
-        with pytest.raises(ScenarioSpecError, match="horizont"):
-            ScenarioSpec.from_dict({"name": "x", "horizont": 3.0})
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("horizont", 3.0),
+            # Retired execution-strategy flags: a spec that still
+            # carries one is rejected by name, not with a TypeError.
+            ("delta_rounds", False),
+            ("memo_solve", True),
+        ],
+    )
+    def test_from_dict_unknown_top_level_key(self, key, value):
+        with pytest.raises(ScenarioSpecError, match=key):
+            ScenarioSpec.from_dict({"name": "x", key: value})
 
     def test_from_dict_unknown_event_kind(self):
         with pytest.raises(ScenarioSpecError, match="unknown event kind"):

@@ -29,7 +29,7 @@ _OVERLAYS = {}
 def overlay_for(n_nodes: int, base: int) -> OverlayNetwork:
     key = (n_nodes, base)
     if key not in _OVERLAYS:
-        _OVERLAYS[key] = OverlayNetwork.build(n_nodes, base=base, seed=99)
+        _OVERLAYS[key] = OverlayNetwork.build(n_nodes, base=base)
     return _OVERLAYS[key]
 
 
